@@ -8,13 +8,13 @@ and renders the interpretation figures that tie importances back to
 curve features. Deterministic end to end from one master seed.
 """
 
-from ._accel import BACKEND, NUMBA_ENABLED
 from ._version import __version__
 from .errors import NonFiniteError, NumericalError, PipelineError
 from .explain import (PfiReport, load_pfi, permutation_importance,
                       rank_features, save_pfi)
 from .fpca import (FpcaModel, fit, inverse_transform, load_model, save_model,
                    transform, variance_explained)
+from .kernels import BACKEND
 from .metrics import accuracy, f1, f1_info, mse, r2
 from .mlp import Mlp, MlpConfig, gradient_check, load_mlp, save_mlp, train
 from .pipeline import (RunConfig, RunManifest, run_pipeline, split,
@@ -28,7 +28,7 @@ from .viz import (PlotSpec, correlation_heatmap, correlation_matrix,
                   render_svg, save_figure, score_scatter)
 
 __all__ = [
-    "BACKEND", "NUMBA_ENABLED", "__version__",
+    "BACKEND", "__version__",
     "NonFiniteError", "NumericalError", "PipelineError",
     "PfiReport", "load_pfi", "permutation_importance", "rank_features",
     "save_pfi",

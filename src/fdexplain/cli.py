@@ -98,14 +98,9 @@ def _cmd_pfi(args) -> int:
     return 0
 
 
-def _load_run(rundir: Path):
-    config = pipeline.load_run_config(rundir / "config.json")
-    return config
-
-
 def _cmd_figures(args) -> int:
     rundir = Path(args.run)
-    config = _load_run(rundir)
+    config = pipeline.load_run_config(rundir / "config.json")
     dataset = read_dataset(rundir / "data" / "dataset.csv")
     train_ds = read_dataset(rundir / "data" / "train.csv")
     model = fpca.load_model(rundir / "fpca")
@@ -119,7 +114,7 @@ def _cmd_figures(args) -> int:
 
 def _cmd_report(args) -> int:
     rundir = Path(args.run)
-    config = _load_run(rundir)
+    config = pipeline.load_run_config(rundir / "config.json")
     model = fpca.load_model(rundir / "fpca")
     metric_summary = read_json(rundir / "tables" / "metrics.json")
     pfi_reports = {t: explain.load_pfi(rundir / "pfi", t)

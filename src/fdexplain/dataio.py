@@ -14,8 +14,10 @@ from .sim import Dataset, LabelSet, SimParams, TimeGrid
 FORMAT_VERSION = 1
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _format_row(row) -> str:
+    """One CSV line body: each value as a float64 in shortest round-trip
+    form (Python repr), so nan, inf and -0.0 survive too."""
+    return ",".join(map(repr, np.asarray(row, dtype=np.float64).tolist()))
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -41,7 +43,7 @@ def write_table_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_format_row(row) + "\n")
 
 
 def read_table_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -55,6 +57,27 @@ def read_table_csv(path: Path) -> tuple[list[str], np.ndarray]:
         raise ValueError(f"{path}: header has {len(header)} columns, "
                          f"rows have {data.shape[1]}")
     return header, data
+
+
+def _write_labelled(csv_path: Path, header: list[str], values: np.ndarray,
+                    labels: LabelSet) -> None:
+    """Write float rows each followed by the integer y1, y2 and float y3
+    labels."""
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(values.shape[0]):
+            fh.write(f"{_format_row(values[i])},{int(labels.y1[i])},"
+                     f"{int(labels.y2[i])},{float(labels.y3[i])!r}\n")
+
+
+def _split_labels(data: np.ndarray, width: int) -> tuple[np.ndarray, LabelSet]:
+    """Split a table read back from `_write_labelled` into its `width`
+    value columns and the label columns."""
+    return np.ascontiguousarray(data[:, :width]), LabelSet(
+        y1=data[:, width].astype(np.int64),
+        y2=data[:, width + 1].astype(np.int64),
+        y3=data[:, width + 2].copy())
 
 
 def grid_to_dict(grid: TimeGrid) -> dict:
@@ -76,13 +99,8 @@ def dataset_header(m: int) -> list[str]:
 def write_dataset(dataset: Dataset, csv_path: Path) -> None:
     """Write `<name>.csv` (values + labels) and a `<name>.json` sidecar."""
     csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(dataset_header(dataset.grid.count)) + "\n")
-        for i in range(dataset.n):
-            vals = ",".join(_fmt(v) for v in dataset.values[i])
-            lab = dataset.labels
-            fh.write(f"{vals},{int(lab.y1[i])},{int(lab.y2[i])},{_fmt(lab.y3[i])}\n")
+    _write_labelled(csv_path, dataset_header(dataset.grid.count),
+                    dataset.values, dataset.labels)
     write_json(sidecar_path(csv_path), {
         "format_version": FORMAT_VERSION,
         "grid": grid_to_dict(dataset.grid),
@@ -100,10 +118,7 @@ def read_dataset(csv_path: Path) -> Dataset:
     if header != dataset_header(grid.count):
         raise ValueError(f"{csv_path}: header does not match dataset format "
                          f"for a {grid.count}-point grid")
-    values = np.ascontiguousarray(data[:, :grid.count])
-    labels = LabelSet(y1=data[:, grid.count].astype(np.int64),
-                      y2=data[:, grid.count + 1].astype(np.int64),
-                      y3=data[:, grid.count + 2].copy())
+    values, labels = _split_labels(data, grid.count)
     return Dataset(grid, values, labels, side.get("provenance", {}))
 
 
@@ -117,15 +132,8 @@ def scores_header(r: int) -> list[str]:
 
 
 def write_scores(csv_path: Path, scores: np.ndarray, labels: LabelSet) -> None:
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    r = scores.shape[1]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(scores_header(r)) + "\n")
-        for i in range(scores.shape[0]):
-            vals = ",".join(_fmt(v) for v in scores[i])
-            fh.write(f"{vals},{int(labels.y1[i])},{int(labels.y2[i])},"
-                     f"{_fmt(labels.y3[i])}\n")
+    _write_labelled(Path(csv_path), scores_header(scores.shape[1]), scores,
+                    labels)
 
 
 def read_scores(csv_path: Path) -> tuple[np.ndarray, LabelSet]:
@@ -133,8 +141,4 @@ def read_scores(csv_path: Path) -> tuple[np.ndarray, LabelSet]:
     r = len(header) - 3
     if r < 1 or header != scores_header(r):
         raise ValueError(f"{csv_path}: not a score-matrix file")
-    scores = np.ascontiguousarray(data[:, :r])
-    labels = LabelSet(y1=data[:, r].astype(np.int64),
-                      y2=data[:, r + 1].astype(np.int64),
-                      y3=data[:, r + 2].copy())
-    return scores, labels
+    return _split_labels(data, r)

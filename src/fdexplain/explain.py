@@ -156,16 +156,24 @@ def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
 def load_pfi(outdir: Path, name: str) -> PfiReport:
     outdir = Path(outdir)
     meta = read_json(outdir / f"{name}_pfi.json")
-    _, rows = read_table_csv(outdir / f"{name}_pfi.csv")
+    path = outdir / f"{name}_pfi.csv"
+    _, rows = read_table_csv(path)
     n_feat = len(meta["mean_importance"])
     reps = int(meta["replications"])
     if rows.shape[0] != n_feat * reps:
         raise ValueError(f"{name}_pfi.csv has {rows.shape[0]} rows, "
                          f"expected {n_feat * reps}")
-    importances = np.empty((n_feat, reps))
-    for feature, replication, value in rows:
-        importances[int(feature) - 1, int(replication) - 1] = value
-    return PfiReport(importances=importances,
+    # with the row count right, in-range distinct pairs fill every cell
+    pairs = rows[:, :2]
+    in_range = ((pairs >= 1) & (pairs <= (n_feat, reps))
+                & (pairs == np.round(pairs)))
+    cells = ((pairs[:, 0] - 1) * reps + pairs[:, 1] - 1).astype(np.int64)
+    if not in_range.all() or np.unique(cells).size != cells.size:
+        raise ValueError(f"{path}: (feature, replication) pairs do not cover "
+                         f"each of the {n_feat}x{reps} cells exactly once")
+    importances = np.empty(n_feat * reps)
+    importances[cells] = rows[:, 2]
+    return PfiReport(importances=importances.reshape(n_feat, reps),
                      mean_importance=np.asarray(meta["mean_importance"]),
                      sd_importance=np.asarray(meta["sd_importance"]),
                      baseline_loss=float(meta["baseline_loss"]),

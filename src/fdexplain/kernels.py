@@ -1,21 +1,20 @@
-"""Hot numeric kernels, compiled with numba when the backend allows.
+"""Hot numeric kernels in plain numpy.
 
 Two kinds of kernel live here:
 
-* the signature-curve batch generator, which has a loop-nest numba
-  implementation and a broadcast pure-numpy fallback, and
-* the network kernels (forward pass, loss gradient, one optimizer epoch),
-  written once in numba-compatible numpy style so the same source runs
-  jitted or plain.
+* the signature-curve batch generator, which broadcasts over the grid
+  and loops only over peak slots, and
+* the network kernels (forward pass, loss gradient, one optimizer epoch)
+  on a flat parameter vector.
 
 Everything here is pure: no RNG, no I/O, no global state. Random draws
-(jitters, noise, batch orders) happen in the calling modules so both
-backends consume identical streams.
+(jitters, noise, batch orders) happen in the calling modules.
 """
 
 import numpy as np
 
-from ._accel import BACKEND, NUMBA_ENABLED, njit, prange
+# the numerics implementation recorded in every run manifest and report
+BACKEND = "numpy"
 
 TASK_REGRESSION = 0
 TASK_CLASSIFICATION = 1
@@ -25,24 +24,8 @@ TASK_CLASSIFICATION = 1
 # signature curve batch
 # ---------------------------------------------------------------------------
 
-def _curve_batch_numba(t, centers, widths, amps, n_peaks, gain, boost,
-                       boost_rate, base_amp, base_rate, t_start):
-    n = centers.shape[0]
-    m = t.shape[0]
-    out = np.empty((n, m))
-    for i in prange(n):
-        for j in range(m):
-            u = t[j] - t_start
-            v = base_amp * np.exp(-base_rate * u) + boost[i] * np.exp(-boost_rate * u)
-            for k in range(n_peaks[i]):
-                d = t[j] - centers[i, k]
-                v += amps[i, k] * np.exp(-d * d / (2.0 * widths[i, k] * widths[i, k]))
-            out[i, j] = gain[i] * v
-    return out
-
-
-def _curve_batch_numpy(t, centers, widths, amps, n_peaks, gain, boost,
-                       boost_rate, base_amp, base_rate, t_start):
+def curve_batch(t, centers, widths, amps, n_peaks, gain, boost,
+                boost_rate, base_amp, base_rate, t_start):
     u = t - t_start
     out = np.tile(base_amp * np.exp(-base_rate * u), (centers.shape[0], 1))
     out += boost[:, None] * np.exp(-boost_rate * u)[None, :]
@@ -61,7 +44,7 @@ def _curve_batch_numpy(t, centers, widths, amps, n_peaks, gain, boost,
 # Parameters are packed layer by layer: weights (fan_in*fan_out, row-major)
 # then biases. `sizes` chains input width through hidden layers to 1 output.
 
-def _mlp_forward_impl(params, sizes, X):
+def mlp_forward(params, sizes, X):
     a = X
     off = 0
     n_layers = sizes.shape[0] - 1
@@ -80,7 +63,7 @@ def _mlp_forward_impl(params, sizes, X):
     return a[:, 0]
 
 
-def _mlp_loss_grad_impl(params, sizes, X, y, task, grad):
+def mlp_loss_grad(params, sizes, X, y, task, grad):
     """Mean loss over the batch and its gradient, written into `grad`."""
     n_layers = sizes.shape[0] - 1
     n = X.shape[0]
@@ -133,8 +116,8 @@ def _mlp_loss_grad_impl(params, sizes, X, y, task, grad):
     return loss
 
 
-def _adam_epoch_impl(params, m1, m2, step0, sizes, X, y, order, batch_size,
-                     lr, beta1, beta2, eps, task):
+def adam_epoch(params, m1, m2, step0, sizes, X, y, order, batch_size,
+               lr, beta1, beta2, eps, task):
     """One epoch of mini-batch adaptive-moment updates, in place.
 
     Returns (mean training loss over the epoch, updated step count).
@@ -160,17 +143,6 @@ def _adam_epoch_impl(params, m1, m2, step0, sizes, X, y, order, batch_size,
         params -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
     return total / n, step
 
-
-if NUMBA_ENABLED:
-    curve_batch = njit(cache=True, parallel=True)(_curve_batch_numba)
-    mlp_forward = njit(cache=True)(_mlp_forward_impl)
-    mlp_loss_grad = njit(cache=True)(_mlp_loss_grad_impl)
-    adam_epoch = njit(cache=True)(_adam_epoch_impl)
-else:
-    curve_batch = _curve_batch_numpy
-    mlp_forward = _mlp_forward_impl
-    mlp_loss_grad = _mlp_loss_grad_impl
-    adam_epoch = _adam_epoch_impl
 
 __all__ = [
     "BACKEND",

@@ -1,16 +1,7 @@
 """Evaluation metrics: accuracy and F1 for the classifiers, MSE and R2 for
 the regressor."""
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MetricSummary:
-    split: str
-    metric: str
-    value: float
 
 
 def _check_pair(predicted, actual):

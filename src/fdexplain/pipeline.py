@@ -3,10 +3,11 @@
 A run executes simulate -> split -> component fit -> score transform ->
 train three networks -> metrics -> permutation importance -> figures ->
 report, all derived from one master seed, and records a manifest that
-pins the materialized configuration, per-stage seeds, artifact paths,
-and the numerics backend. Re-running the same configuration into a clean
-directory reproduces every artifact byte for byte; manifest timings are
-the only varying fields.
+pins the materialized configuration, per-stage seeds and artifact paths.
+Its `backend` field, like the report's, always reads "numpy": the numpy
+kernels are the only numerics path. Re-running the same configuration
+into a clean directory reproduces every artifact byte for byte; manifest
+timings are the only varying fields.
 """
 
 import dataclasses
@@ -19,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import explain, fpca, metrics, mlp, viz
-from ._accel import BACKEND
 from ._version import __version__
 from .dataio import (read_json, write_dataset, write_json, write_scores,
                      write_table_csv)
 from .errors import PipelineError
+from .kernels import BACKEND
 from .seeding import stage_seed
 from .sim import Dataset, SimParams, default_grid, generate_dataset
 

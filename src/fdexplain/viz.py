@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fpca as fpca_mod
+from .dataio import _format_row
 from .sim import Dataset, class_conditional_means
 
 KINDS = ("eigenfunction", "mean-pm-eigenfunction", "extreme-bundles",
@@ -310,10 +311,6 @@ def render_svg(spec: PlotSpec) -> str:
     return "\n".join([head, background, *body, "</svg>"]) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _figure_csv_text(spec: PlotSpec) -> str:
     meta = {
         "kind": spec.kind,
@@ -336,8 +333,7 @@ def _figure_csv_text(spec: PlotSpec) -> str:
             header.append(f"defined_{i + 1}")
             columns.append(spec.defined[i].astype(np.float64))
     lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += map(_format_row, zip(*columns))
     return "\n".join(lines) + "\n"
 
 

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity along a different route from the
 library code: eigenpairs by cyclic Jacobi rotations instead of SVD,
 permutation importance by exhaustive enumeration instead of Monte
-Carlo sampling, and peak counts by direct finite differencing of the
-emitted curve. None of them share code with the package.
+Carlo sampling, peak counts by direct finite differencing of the
+emitted curve, and signature-curve batches by an explicit loop nest
+instead of broadcasting. None of them share code with the package.
 """
 
 import itertools
@@ -84,3 +85,21 @@ def count_local_maxima(values: np.ndarray) -> int:
 def local_maxima_positions(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Grid locations of the strict interior local maxima."""
     return np.asarray(t, dtype=np.float64)[local_maxima_indices(values)]
+
+
+def curve_batch_loops(t, centers, widths, amps, n_peaks, gain, boost,
+                      boost_rate, base_amp, base_rate, t_start):
+    """Signature-curve batch, one grid point and one peak at a time; same
+    arguments and result as `fdexplain.kernels.curve_batch`."""
+    n = centers.shape[0]
+    m = t.shape[0]
+    out = np.empty((n, m))
+    for i in range(n):
+        for j in range(m):
+            u = t[j] - t_start
+            v = base_amp * np.exp(-base_rate * u) + boost[i] * np.exp(-boost_rate * u)
+            for k in range(n_peaks[i]):
+                d = t[j] - centers[i, k]
+                v += amps[i, k] * np.exp(-d * d / (2.0 * widths[i, k] * widths[i, k]))
+            out[i, j] = gain[i] * v
+    return out

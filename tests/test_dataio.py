@@ -54,11 +54,16 @@ def test_missing_files_error(tmp_path):
 def test_scores_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
     scores = rng.normal(size=(9, 4)) * np.logspace(0, -6, 4)
+    # signed zero, the smallest subnormal and the largest finite double
+    scores[0, :3] = (-0.0, 5e-324, 1.7976931348623157e308)
     ds = _dataset(n=9)
     path = tmp_path / "scores.csv"
     dataio.write_scores(path, scores, ds.labels)
+    row = path.read_text().splitlines()[1]
+    assert row.startswith("-0.0,5e-324,1.7976931348623157e+308,")
     back, labels = dataio.read_scores(path)
     assert np.array_equal(back, scores)
+    assert np.signbit(back[0, 0])
     assert np.array_equal(labels.y3, ds.labels.y3)
 
 

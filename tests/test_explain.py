@@ -190,6 +190,27 @@ def test_save_load_round_trip(tmp_path):
         ("squared", 4, 8, 12)
 
 
+
+def test_load_rejects_rows_that_miss_a_cell(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(10, 3))
+    y = rng.normal(size=10)
+    report = explain.permutation_importance(lambda Z: Z[:, 0], X, y,
+                                            "squared", replications=2, seed=1)
+    explain.save_pfi(report, tmp_path, "y3")
+    path = tmp_path / "y3_pfi.csv"
+    lines = path.read_text().splitlines()
+    assert [line[:8] for line in lines[1:4]] == \
+        ["1.0,1.0,", "1.0,2.0,", "2.0,1.0,"]
+    # the row count stays right in both cases
+    corruptions = {2: lines[1],                 # (1, 1) duplicated over (1, 2)
+                   3: "0.0" + lines[3][3:]}     # feature 2 rewritten as 0
+    for index, bad in corruptions.items():
+        path.write_text("\n".join(lines[:index] + [bad] + lines[index + 1:])
+                        + "\n")
+        with pytest.raises(ValueError, match="y3_pfi.csv"):
+            explain.load_pfi(tmp_path, "y3")
+
 def test_load_missing_report_errors(tmp_path):
     with pytest.raises(FileNotFoundError, match="missing artifact"):
         explain.load_pfi(tmp_path, "y1")

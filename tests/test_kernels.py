@@ -1,31 +1,20 @@
-"""Backend equivalence and selection.
+"""Kernel correctness and determinism.
 
-The loop kernels and the vectorized numpy fallbacks are independent
-implementations of the same math; they must agree to roundoff within a
-process, and the FDEXPLAIN_BACKEND switch must pick the right one in a
-fresh interpreter.
+The vectorized curve kernel must agree to roundoff with the loop-nest
+reference in the test oracles and with closed forms, and fresh
+interpreters must import the package cleanly and reproduce its results.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 import fdexplain
 from fdexplain import kernels
-from fdexplain._accel import NUMBA_ENABLED
-from fdexplain.kernels import (
-    TASK_CLASSIFICATION,
-    TASK_REGRESSION,
-    _adam_epoch_impl,
-    _curve_batch_numba,
-    _curve_batch_numpy,
-    _mlp_forward_impl,
-    _mlp_loss_grad_impl,
-)
+
+from oracles import curve_batch_loops
 
 
 def _curve_args(n=12, m=80, k=4, seed=0):
@@ -41,17 +30,6 @@ def _curve_args(n=12, m=80, k=4, seed=0):
             3.0, 3.0, 1.1, -4.0)
 
 
-def _mlp_setup(n=32, f=5, hidden=(7, 4), seed=1):
-    rng = np.random.default_rng(seed)
-    sizes = np.array([f, *hidden, 1], dtype=np.int64)
-    total = int(np.sum(sizes[:-1] * sizes[1:] + sizes[1:]))
-    params = rng.normal(scale=0.3, size=total)
-    X = rng.normal(size=(n, f))
-    y_reg = rng.normal(size=n)
-    y_cls = rng.integers(0, 2, size=n).astype(np.float64)
-    return sizes, params, X, y_reg, y_cls
-
-
 def _rel_max(a, b):
     scale = max(1.0, float(np.max(np.abs(a))))
     return float(np.max(np.abs(a - b))) / scale
@@ -63,7 +41,7 @@ def _rel_max(a, b):
 
 def test_curve_loop_vs_vectorized():
     args = _curve_args()
-    assert _rel_max(_curve_batch_numba(*args), _curve_batch_numpy(*args)) \
+    assert _rel_max(curve_batch_loops(*args), kernels.curve_batch(*args)) \
         <= 1e-12
 
 
@@ -74,8 +52,8 @@ def test_curve_zero_peaks_closed_form():
             3.0, 3.0, 1.1, -4.0)
     u = t + 4.0
     expected = 2.0 * (3.0 * np.exp(-1.1 * u) + 0.5 * np.exp(-3.0 * u))
-    assert _rel_max(_curve_batch_numpy(*args), expected) <= 1e-12
-    assert _rel_max(_curve_batch_numba(*args), expected) <= 1e-12
+    assert _rel_max(kernels.curve_batch(*args), expected) <= 1e-12
+    assert _rel_max(curve_batch_loops(*args), expected) <= 1e-12
 
 
 def test_curve_single_peak_closed_form():
@@ -85,53 +63,15 @@ def test_curve_single_peak_closed_form():
             np.ones(1, dtype=np.int64), np.array([1.0]), np.array([0.0]),
             3.0, 0.0, 1.1, -4.0)
     expected = a * np.exp(-((t - c) ** 2) / (2.0 * w * w))
-    assert _rel_max(_curve_batch_numpy(*args), expected) <= 1e-12
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-def test_jitted_kernels_match_plain_implementations():
-    args = _curve_args(seed=3)
-    assert _rel_max(kernels.curve_batch(*args), _curve_batch_numpy(*args)) \
-        <= 1e-12
-
-    sizes, params, X, y_reg, y_cls = _mlp_setup()
-    assert _rel_max(kernels.mlp_forward(params, sizes, X),
-                    _mlp_forward_impl(params, sizes, X)) <= 1e-12
-
-    for task, y in ((TASK_REGRESSION, y_reg), (TASK_CLASSIFICATION, y_cls)):
-        g_jit = np.empty_like(params)
-        g_ref = np.empty_like(params)
-        loss_jit = kernels.mlp_loss_grad(params, sizes, X, y, task, g_jit)
-        loss_ref = _mlp_loss_grad_impl(params, sizes, X, y, task, g_ref)
-        assert abs(loss_jit - loss_ref) <= 1e-12 * max(1.0, abs(loss_ref))
-        assert _rel_max(g_jit, g_ref) <= 1e-12
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend not active")
-def test_jitted_adam_epoch_matches_plain():
-    sizes, params, X, y_reg, _ = _mlp_setup(seed=5)
-    order = np.random.default_rng(2).permutation(X.shape[0]).astype(np.int64)
-
-    def run(epoch_fn):
-        p = params.copy()
-        m1 = np.zeros_like(p)
-        m2 = np.zeros_like(p)
-        loss, step = epoch_fn(p, m1, m2, 0, sizes, X, y_reg, order, 8,
-                              1e-3, 0.9, 0.999, 1e-8, TASK_REGRESSION)
-        return p, float(loss), int(step)
-
-    p_jit, loss_jit, step_jit = run(kernels.adam_epoch)
-    p_ref, loss_ref, step_ref = run(_adam_epoch_impl)
-    assert step_jit == step_ref == 4
-    assert abs(loss_jit - loss_ref) <= 1e-10
-    assert _rel_max(p_jit, p_ref) <= 1e-10
+    assert _rel_max(kernels.curve_batch(*args), expected) <= 1e-12
+    assert _rel_max(curve_batch_loops(*args), expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
-# backend selection in fresh interpreters
+# fresh interpreters
 # ---------------------------------------------------------------------------
 
-def _child_env(backend):
+def _child_env():
     """Environment for a fresh interpreter that imports this module and the
     same fdexplain as this process, whether or not the package is installed.
     """
@@ -140,40 +80,21 @@ def _child_env(backend):
         os.path.dirname(os.path.abspath(fdexplain.__file__)))
     inherited = os.environ.get("PYTHONPATH")
     path = [tests_dir, package_parent] + ([inherited] if inherited else [])
-    return dict(os.environ, FDEXPLAIN_BACKEND=backend,
-                PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
-def _spawn(backend, code):
-    return subprocess.run([sys.executable, "-c", code],
-                          env=_child_env(backend),
+def _spawn(*args):
+    return subprocess.run([sys.executable, *args], env=_child_env(),
                           capture_output=True, text=True)
 
 
-def test_backend_numpy_forced():
-    proc = _spawn("numpy", "from fdexplain import kernels; "
-                  "print(kernels.BACKEND, kernels.curve_batch.__name__)")
+def test_import_emits_no_warning():
+    proc = _spawn("-W", "error", "-c", "import fdexplain")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy", "_curve_batch_numpy"]
 
 
-@pytest.mark.skipif(importlib.util.find_spec("numba") is None,
-                    reason="numba is not installed")
-def test_backend_numba_forced():
-    proc = _spawn("numba", "from fdexplain import kernels; "
-                  "print(kernels.BACKEND)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numba"
-
-
-def test_backend_rejects_unknown_value():
-    proc = _spawn("bogus", "import fdexplain.kernels")
-    assert proc.returncode != 0
-    assert "FDEXPLAIN_BACKEND" in proc.stderr
-
-
-def test_backends_agree_across_processes(tmp_path):
-    # the numpy-forced child writes its curve batch; compare in-process
+def test_curve_batch_deterministic_across_processes(tmp_path):
+    # a fresh interpreter writes its curve batch; compare in-process
     out = tmp_path / "curves.npy"
     code = (
         "import numpy as np\n"
@@ -181,7 +102,7 @@ def test_backends_agree_across_processes(tmp_path):
         "from test_kernels import _curve_args\n"
         f"np.save({str(out)!r}, kernels.curve_batch(*_curve_args(seed=7)))\n"
     )
-    proc = _spawn("numpy", code)
+    proc = _spawn("-c", code)
     assert proc.returncode == 0, proc.stderr
     theirs = np.load(out)
     ours = kernels.curve_batch(*_curve_args(seed=7))
