@@ -6,16 +6,19 @@ success; failures print a stage-named diagnostic and exit nonzero.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import explain, fpca, mlp, pipeline
 from ._version import __version__
 from .dataio import (read_dataset, read_json, read_scores, write_dataset,
-                     write_scores, write_table_csv)
+                     write_scores)
 from .sim import SimParams, default_grid, generate_dataset
+
+# `train` flags that override fields of the run's network for --target
+_NETWORK_FIELDS = ("hidden_sizes", "learning_rate", "batch_size",
+                   "max_epochs", "patience", "val_fraction")
 
 
 def _cmd_simulate(args) -> int:
@@ -31,27 +34,19 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_split(args) -> int:
     dataset = read_dataset(Path(args.data))
-    parts = pipeline.split(dataset, tuple(args.ratios), args.seed)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, ds in zip(pipeline.SPLIT_NAMES, parts):
-        write_dataset(ds, outdir / f"{name}.csv")
+    splits = pipeline.write_splits(dataset, tuple(args.ratios), args.seed,
+                                   outdir)
+    for name, ds in splits.items():
         print(f"{name}: {ds.n} signatures -> {outdir / f'{name}.csv'}")
     return 0
 
 
 def _cmd_fpca(args) -> int:
     train = read_dataset(Path(args.train))
-    model = fpca.fit(train)
-    fpca.save_model(model, Path(args.outdir))
-    fractions, cumulative = fpca.variance_explained(model)
-    rows = np.column_stack([
-        np.arange(1, model.n_components + 1, dtype=np.float64),
-        model.eigenvalues, fractions, cumulative,
-    ])
-    write_table_csv(Path(args.outdir) / "variance_explained.csv",
-                    ["component", "eigenvalue", "fraction", "cumulative"],
-                    rows)
+    outdir = Path(args.outdir)
+    model = pipeline.fit_fpca(train, outdir, outdir / "variance_explained.csv")
+    fractions, _ = fpca.variance_explained(model)
     print(f"fit {model.n_components} components from {train.n} signatures; "
           f"first explains {fractions[0]:.4f}")
     return 0
@@ -68,17 +63,11 @@ def _cmd_transform(args) -> int:
 
 def _cmd_train(args) -> int:
     scores, labels = read_scores(Path(args.scores))
-    config = mlp.MlpConfig(hidden_sizes=tuple(args.hidden),
-                           task=pipeline.TARGET_TASK[args.target],
-                           learning_rate=args.learning_rate,
-                           batch_size=args.batch_size,
-                           max_epochs=args.max_epochs,
-                           patience=args.patience,
-                           val_fraction=args.val_fraction,
-                           seed=args.seed)
-    targets = np.asarray(getattr(labels, args.target), dtype=np.float64)
-    model = mlp.train(scores, targets, config)
-    mlp.save_mlp(model, Path(args.outdir))
+    config = dataclasses.replace(
+        pipeline.RunConfig().mlp_configs[args.target],
+        **{f: getattr(args, f) for f in _NETWORK_FIELDS if f in args})
+    model = pipeline.train_network(scores, labels, args.target, config,
+                                   args.seed, args.outdir)
     print(f"trained {args.target} network for {model.log.epochs_run} epochs "
           f"(best epoch {model.log.best_epoch}) -> {args.outdir}")
     return 0
@@ -87,11 +76,8 @@ def _cmd_train(args) -> int:
 def _cmd_pfi(args) -> int:
     model = mlp.load_mlp(Path(args.model))
     scores, labels = read_scores(Path(args.scores))
-    targets = np.asarray(getattr(labels, args.target), dtype=np.float64)
-    report = explain.permutation_importance(
-        model.predict, scores, targets, pipeline.TARGET_LOSS[args.target],
-        args.replications, args.seed)
-    explain.save_pfi(report, Path(args.outdir), args.target)
+    report = pipeline.compute_pfi(model, scores, labels, args.target,
+                                  args.replications, args.seed, args.outdir)
     ranking = explain.rank_features(report)
     print(f"{args.target} top components: "
           + ", ".join(str(v) for v in ranking[:5]))
@@ -128,14 +114,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        config = pipeline.load_run_config(Path(args.config))
-        if args.outdir:
-            config.outdir = args.outdir
-    else:
-        config = pipeline.RunConfig(n=args.n, seed=args.seed,
-                                    grid_count=args.grid_count,
-                                    outdir=args.outdir or "run")
+    config = (pipeline.load_run_config(Path(args.config)) if args.config
+              else pipeline.RunConfig())
+    config = dataclasses.replace(config, **{
+        f: getattr(args, f) for f in ("n", "seed", "grid_count", "outdir")
+        if f in args})
     manifest = pipeline.run_pipeline(config)
     report = read_json(Path(config.outdir) / "report.json")
     print(f"run complete: {Path(config.outdir) / 'manifest.json'} "
@@ -155,13 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "explain them with permutation importance.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = pipeline.RunConfig()
+    unset = argparse.SUPPRESS  # an absent flag leaves no attribute in args
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--grid-count", type=int, default=1000)
-    p.add_argument("--grid-start", type=float, default=-4.0)
-    p.add_argument("--grid-stop", type=float, default=0.0)
+    p.add_argument("--grid-count", type=int, default=defaults.grid_count)
+    p.add_argument("--grid-start", type=float, default=defaults.grid_start)
+    p.add_argument("--grid-stop", type=float, default=defaults.grid_stop)
     p.add_argument("--params", help="JSON file of simulator parameters")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
@@ -170,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "train/test/validation CSVs")
     p.add_argument("--data", required=True)
     p.add_argument("--ratios", type=float, nargs=3,
-                   default=list(pipeline.DEFAULT_RATIOS))
+                   default=list(defaults.ratios))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True)
     p.set_defaults(fn=_cmd_split)
@@ -191,12 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one network on a scores CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--target", choices=pipeline.TARGETS, required=True)
-    p.add_argument("--hidden", type=int, nargs="+", default=[50, 40, 30])
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    # absent network flags keep the run's network for --target
+    p.add_argument("--hidden", dest="hidden_sizes", type=int, nargs="+",
+                   default=unset)
+    p.add_argument("--learning-rate", type=float, default=unset)
+    p.add_argument("--batch-size", type=int, default=unset)
+    p.add_argument("--max-epochs", type=int, default=unset)
+    p.add_argument("--patience", type=int, default=unset)
+    p.add_argument("--val-fraction", type=float, default=unset)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True)
     p.set_defaults(fn=_cmd_train)
@@ -207,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--target", choices=pipeline.TARGETS, required=True)
     p.add_argument("--replications", type=int,
-                   default=explain.DEFAULT_REPLICATIONS)
+                   default=defaults.pfi_replications)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True)
     p.set_defaults(fn=_cmd_pfi)
@@ -224,10 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute the full pipeline")
     p.add_argument("--config", help="JSON run configuration")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--grid-count", type=int, default=1000)
-    p.add_argument("--outdir")
+    # given flags override --config, absent ones keep its values
+    p.add_argument("--n", type=int, default=unset,
+                   help=f"default {defaults.n}")
+    p.add_argument("--seed", type=int, default=unset,
+                   help=f"default {defaults.seed}")
+    p.add_argument("--grid-count", type=int, default=unset,
+                   help=f"default {defaults.grid_count}")
+    p.add_argument("--outdir", default=unset,
+                   help=f"default {defaults.outdir}")
     p.set_defaults(fn=_cmd_run)
     return parser
 

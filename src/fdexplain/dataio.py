@@ -46,6 +46,16 @@ def write_table_csv(path: Path, header: list[str], rows) -> None:
             fh.write(_format_row(row) + "\n")
 
 
+def write_text_csv(path: Path, header: list[str], rows) -> None:
+    """Write a table of already formatted string cells."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def read_table_csv(path: Path) -> tuple[list[str], np.ndarray]:
     path = Path(path)
     if not path.exists():
@@ -71,9 +81,15 @@ def _write_labelled(csv_path: Path, header: list[str], values: np.ndarray,
                      f"{int(labels.y2[i])},{float(labels.y3[i])!r}\n")
 
 
-def _split_labels(data: np.ndarray, width: int) -> tuple[np.ndarray, LabelSet]:
+def _split_labels(path: Path, data: np.ndarray,
+                  width: int) -> tuple[np.ndarray, LabelSet]:
     """Split a table read back from `_write_labelled` into its `width`
-    value columns and the label columns."""
+    value columns and the label columns; every cell must be finite."""
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: non-finite value in data row {row + 1}, "
+                         f"column {col + 1}")
     return np.ascontiguousarray(data[:, :width]), LabelSet(
         y1=data[:, width].astype(np.int64),
         y2=data[:, width + 1].astype(np.int64),
@@ -118,7 +134,7 @@ def read_dataset(csv_path: Path) -> Dataset:
     if header != dataset_header(grid.count):
         raise ValueError(f"{csv_path}: header does not match dataset format "
                          f"for a {grid.count}-point grid")
-    values, labels = _split_labels(data, grid.count)
+    values, labels = _split_labels(csv_path, data, grid.count)
     return Dataset(grid, values, labels, side.get("provenance", {}))
 
 
@@ -141,4 +157,4 @@ def read_scores(csv_path: Path) -> tuple[np.ndarray, LabelSet]:
     r = len(header) - 3
     if r < 1 or header != scores_header(r):
         raise ValueError(f"{csv_path}: not a score-matrix file")
-    return _split_labels(data, r)
+    return _split_labels(csv_path, data, r)

@@ -132,12 +132,11 @@ def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
     1-based indices) plus a `<name>_pfi.json` summary."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = np.empty((report.n_features * report.replications, 3))
-    k = 0
-    for j in range(report.n_features):
-        for rep in range(report.replications):
-            rows[k] = (j + 1, rep + 1, report.importances[j, rep])
-            k += 1
+    rows = np.column_stack([
+        np.repeat(np.arange(1.0, report.n_features + 1), report.replications),
+        np.tile(np.arange(1.0, report.replications + 1), report.n_features),
+        report.importances.ravel(),
+    ])
     write_table_csv(outdir / f"{name}_pfi.csv",
                     ["feature", "replication", "importance"], rows)
     write_json(outdir / f"{name}_pfi.json", {

@@ -4,6 +4,9 @@ A run executes simulate -> split -> component fit -> score transform ->
 train three networks -> metrics -> permutation importance -> figures ->
 report, all derived from one master seed, and records a manifest that
 pins the materialized configuration, per-stage seeds and artifact paths.
+The stage bodies that hold logic (`write_splits`, `fit_fpca`,
+`train_network`, `compute_pfi`) are shared with the CLI subcommands, so
+a subcommand fed a run's stage seed writes the run's bytes.
 Its `backend` field, like the report's, always reads "numpy": the numpy
 kernels are the only numerics path. Re-running the same configuration
 into a clean directory reproduces every artifact byte for byte; manifest
@@ -14,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +26,7 @@ import numpy as np
 from . import explain, fpca, metrics, mlp, viz
 from ._version import __version__
 from .dataio import (read_json, write_dataset, write_json, write_scores,
-                     write_table_csv)
+                     write_table_csv, write_text_csv)
 from .errors import PipelineError
 from .kernels import BACKEND
 from .seeding import stage_seed
@@ -76,11 +80,11 @@ class RunConfig:
     ratios: tuple = DEFAULT_RATIOS
     seed: int = 42
     mlp_configs: dict = field(default_factory=_default_mlp_configs)
-    pfi_replications: int = 10
+    pfi_replications: int = explain.DEFAULT_REPLICATIONS
     pfi_split: str = "test"
     figures: tuple = DEFAULT_FIGURES
-    bundle_size: int = 50
-    heatmap_stride: int = 25
+    bundle_size: int = viz.DEFAULT_BUNDLE_SIZE
+    heatmap_stride: int = viz.DEFAULT_HEATMAP_STRIDE
     outdir: str = "run"
 
     def __post_init__(self):
@@ -226,13 +230,6 @@ class RunManifest:
 
 def _target_vector(labels, target: str) -> np.ndarray:
     return np.asarray(getattr(labels, target), dtype=np.float64)
-
-
-def _write_text_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def evaluate_models(models: dict, scores: dict, splits: dict) -> dict:
@@ -441,6 +438,52 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
     return {"report_json": "report.json", "report_md": "report.md"}
 
 
+def write_splits(dataset: Dataset, ratios, seed: int, outdir: Path) -> dict:
+    """Split `dataset` and write `<outdir>/{train,test,validation}.csv`;
+    returns the splits by name."""
+    splits = dict(zip(SPLIT_NAMES, split(dataset, ratios, seed)))
+    for name, ds in splits.items():
+        write_dataset(ds, Path(outdir) / f"{name}.csv")
+    return splits
+
+
+def fit_fpca(train: Dataset, outdir: Path, table_path: Path) -> fpca.FpcaModel:
+    """Fit the component model on `train`, save it into `outdir` and write
+    its variance-explained table to `table_path`."""
+    model = fpca.fit(train)
+    fpca.save_model(model, Path(outdir))
+    fractions, cumulative = fpca.variance_explained(model)
+    rows = np.column_stack([
+        np.arange(1, model.n_components + 1, dtype=np.float64),
+        model.eigenvalues, fractions, cumulative,
+    ])
+    write_table_csv(Path(table_path),
+                    ["component", "eigenvalue", "fraction", "cumulative"], rows)
+    return model
+
+
+def train_network(scores: np.ndarray, labels, target: str,
+                  config: mlp.MlpConfig, seed: int, outdir: Path) -> mlp.Mlp:
+    """Train the `target` network of `config` under training seed `seed`
+    and save it into `outdir`."""
+    model = mlp.train(scores, _target_vector(labels, target),
+                      dataclasses.replace(config, seed=seed))
+    mlp.save_mlp(model, Path(outdir))
+    return model
+
+
+def compute_pfi(model: mlp.Mlp, scores: np.ndarray, labels, target: str,
+                replications: int, seed: int,
+                outdir: Path) -> explain.PfiReport:
+    """Permutation importance of the `target` network on `scores`, saved as
+    `<outdir>/<target>_pfi.{csv,json}`."""
+    report = explain.permutation_importance(
+        model.predict, scores, _target_vector(labels, target),
+        TARGET_LOSS[target], replications, seed)
+    explain.save_pfi(report, Path(outdir), target)
+    return report
+
+
 def run_pipeline(config: RunConfig) -> RunManifest:
     """Execute the full pipeline into `config.outdir`.
 
@@ -453,154 +496,101 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     for sub in ("data", "fpca", "scores", "models", "pfi", "tables"):
         (outdir / sub).mkdir(exist_ok=True)
 
-    artifacts = {}
-    timings = {}
-    stage_seeds = {}
-    completed = []
-    state = {"realized_width": None}
-
     write_json(outdir / "config.json", config.to_dict())
-    artifacts["config"] = "config.json"
+    run = RunManifest(schema_version=SCHEMA_VERSION, tool_version=__version__,
+                      backend=BACKEND, config=config.to_dict(),
+                      config_digest=config_digest(config), stage_seeds={},
+                      realized_width=None, artifacts={"config": "config.json"},
+                      timings={}, completed_stages=[], failed_stage=None)
+    artifacts, seeds = run.artifacts, run.stage_seeds
 
-    def manifest(failed: str | None) -> RunManifest:
-        return RunManifest(schema_version=SCHEMA_VERSION,
-                           tool_version=__version__,
-                           backend=BACKEND,
-                           config=config.to_dict(),
-                           config_digest=config_digest(config),
-                           stage_seeds=dict(stage_seeds),
-                           realized_width=state["realized_width"],
-                           artifacts=dict(artifacts),
-                           timings=dict(timings),
-                           completed_stages=list(completed),
-                           failed_stage=failed)
-
-    def run_stage(name: str, fn):
+    @contextmanager
+    def _stage(name: str):
         start = time.perf_counter()
         try:
-            fn()
+            yield
         except Exception as exc:
-            write_json(outdir / "manifest.json", manifest(name).to_dict())
+            run.failed_stage = name
+            write_json(outdir / "manifest.json", run.to_dict())
             raise PipelineError(name, exc) from exc
-        timings[name] = time.perf_counter() - start
-        completed.append(name)
+        run.timings[name] = time.perf_counter() - start
+        run.completed_stages.append(name)
 
-    def stage_simulate():
-        seed = stage_seed(config.seed, "simulate")
-        stage_seeds["simulate"] = seed
+    with _stage("simulate"):
+        seeds["simulate"] = stage_seed(config.seed, "simulate")
         grid = default_grid(config.grid_count, config.grid_start,
                             config.grid_stop)
-        state["dataset"] = generate_dataset(config.n, config.sim, seed, grid)
-        write_dataset(state["dataset"], outdir / "data" / "dataset.csv")
+        dataset = generate_dataset(config.n, config.sim, seeds["simulate"],
+                                   grid)
+        write_dataset(dataset, outdir / "data" / "dataset.csv")
         artifacts["dataset"] = "data/dataset.csv"
 
-    def stage_split():
-        seed = stage_seed(config.seed, "split")
-        stage_seeds["split"] = seed
-        parts = split(state["dataset"], config.ratios, seed)
-        state["splits"] = dict(zip(SPLIT_NAMES, parts))
-        for name, ds in state["splits"].items():
-            write_dataset(ds, outdir / "data" / f"{name}.csv")
-            artifacts[f"split_{name}"] = f"data/{name}.csv"
+    with _stage("split"):
+        seeds["split"] = stage_seed(config.seed, "split")
+        splits = write_splits(dataset, config.ratios, seeds["split"],
+                              outdir / "data")
+        artifacts.update({f"split_{name}": f"data/{name}.csv"
+                          for name in SPLIT_NAMES})
 
-    def stage_fpca():
-        model = fpca.fit(state["splits"]["train"])
-        state["model"] = model
-        state["realized_width"] = model.n_components
-        fpca.save_model(model, outdir / "fpca")
+    with _stage("fpca"):
+        model = fit_fpca(splits["train"], outdir / "fpca",
+                         outdir / "tables" / "variance_explained.csv")
+        run.realized_width = model.n_components
         artifacts["fpca_model"] = "fpca/fpca.json"
-        fractions, cumulative = fpca.variance_explained(model)
-        rows = np.column_stack([
-            np.arange(1, model.n_components + 1, dtype=np.float64),
-            model.eigenvalues, fractions, cumulative,
-        ])
-        write_table_csv(outdir / "tables" / "variance_explained.csv",
-                        ["component", "eigenvalue", "fraction", "cumulative"],
-                        rows)
         artifacts["variance_explained"] = "tables/variance_explained.csv"
 
-    def stage_transform():
-        state["scores"] = {}
-        for name, ds in state["splits"].items():
-            s = fpca.transform(state["model"], ds)
-            state["scores"][name] = s
-            write_scores(outdir / "scores" / f"{name}.csv", s, ds.labels)
+    with _stage("transform"):
+        scores = {}
+        for name, ds in splits.items():
+            scores[name] = fpca.transform(model, ds)
+            write_scores(outdir / "scores" / f"{name}.csv", scores[name],
+                         ds.labels)
             artifacts[f"scores_{name}"] = f"scores/{name}.csv"
 
-    def stage_train():
-        state["mlps"] = {}
-        train_scores = state["scores"]["train"]
-        train_labels = state["splits"]["train"].labels
+    with _stage("train"):
+        mlps = {}
         for target in TARGETS:
             base = config.mlp_configs[target]
             seed = stage_seed(config.seed, f"train-{target}:{base.seed}")
-            stage_seeds[f"train-{target}"] = seed
-            effective = dataclasses.replace(base, seed=seed)
-            model = mlp.train(train_scores,
-                              _target_vector(train_labels, target), effective)
-            state["mlps"][target] = model
-            mlp.save_mlp(model, outdir / "models" / target)
+            seeds[f"train-{target}"] = seed
+            mlps[target] = train_network(scores["train"],
+                                         splits["train"].labels, target, base,
+                                         seed, outdir / "models" / target)
             artifacts[f"mlp_{target}"] = f"models/{target}/mlp.json"
 
-    def stage_metrics():
-        summary = evaluate_models(state["mlps"], state["scores"],
-                                  state["splits"])
-        state["metrics"] = summary
+    with _stage("metrics"):
+        summary = evaluate_models(mlps, scores, splits)
         write_json(outdir / "tables" / "metrics.json", summary)
-        rows = []
-        for target in TARGETS:
-            for name in SPLIT_NAMES:
-                for metric, value in summary[target][name].items():
-                    rows.append([target, name, metric, repr(float(value))])
-        _write_text_csv(outdir / "tables" / "metrics.csv",
-                        ["target", "split", "metric", "value"], rows)
+        write_text_csv(outdir / "tables" / "metrics.csv",
+                       ["target", "split", "metric", "value"],
+                       [[target, name, metric, repr(float(value))]
+                        for target in TARGETS for name in SPLIT_NAMES
+                        for metric, value in summary[target][name].items()])
         artifacts["metrics_json"] = "tables/metrics.json"
         artifacts["metrics_csv"] = "tables/metrics.csv"
 
-    def stage_pfi():
-        state["pfi"] = {}
-        X = state["scores"][config.pfi_split]
-        labels = state["splits"][config.pfi_split].labels
+    with _stage("pfi"):
+        pfi = {}
         for target in TARGETS:
             seed = stage_seed(config.seed, f"pfi-{target}")
-            stage_seeds[f"pfi-{target}"] = seed
-            report = explain.permutation_importance(
-                state["mlps"][target].predict, X,
-                _target_vector(labels, target), TARGET_LOSS[target],
-                config.pfi_replications, seed)
-            state["pfi"][target] = report
-            explain.save_pfi(report, outdir / "pfi", target)
+            seeds[f"pfi-{target}"] = seed
+            pfi[target] = compute_pfi(mlps[target], scores[config.pfi_split],
+                                      splits[config.pfi_split].labels, target,
+                                      config.pfi_replications, seed,
+                                      outdir / "pfi")
             artifacts[f"pfi_{target}"] = f"pfi/{target}_pfi.csv"
 
-    def stage_report():
-        paths = write_report(outdir, config, state["model"],
-                             state["metrics"], state["pfi"])
-        artifacts.update(paths)
+    with _stage("report"):
+        artifacts.update(write_report(outdir, config, model, summary, pfi))
 
-    def stage_figures():
-        paths = emit_figures(config, outdir, state["dataset"],
-                             state["splits"]["train"], state["model"],
-                             state["scores"][config.pfi_split],
-                             state["splits"][config.pfi_split].labels)
-        artifacts.update(paths)
+    with _stage("figures"):
+        artifacts.update(emit_figures(config, outdir, dataset,
+                                      splits["train"], model,
+                                      scores[config.pfi_split],
+                                      splits[config.pfi_split].labels))
 
-    run_stage("simulate", stage_simulate)
-    run_stage("split", stage_split)
-    run_stage("fpca", stage_fpca)
-    run_stage("transform", stage_transform)
-    run_stage("train", stage_train)
-    run_stage("metrics", stage_metrics)
-    run_stage("pfi", stage_pfi)
-    run_stage("report", stage_report)
-    run_stage("figures", stage_figures)
-
-    result = manifest(None)
-    write_json(outdir / "manifest.json", result.to_dict())
-    return result
-
-
-def load_manifest(outdir: Path) -> dict:
-    return read_json(Path(outdir) / "manifest.json")
+    write_json(outdir / "manifest.json", run.to_dict())
+    return run
 
 
 def load_run_config(path: Path) -> RunConfig:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fdexplain import dataio, sim
+from fdexplain.sim import LabelSet
 
 from helpers import make_dataset
 
@@ -65,6 +69,85 @@ def test_scores_round_trip_exact(tmp_path):
     assert np.array_equal(back, scores)
     assert np.signbit(back[0, 0])
     assert np.array_equal(labels.y3, ds.labels.y3)
+
+
+def _replace_cell(path, row: int, col: int, text: str) -> None:
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_read_dataset_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "d.csv"
+    dataio.write_dataset(_dataset(), path)
+    _replace_cell(path, 3, 5, text)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        dataio.read_dataset(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("col", [0, -3, -1])  # a score, y1 and y3
+def test_read_scores_rejects_non_finite(tmp_path, col):
+    path = tmp_path / "s.csv"
+    dataio.write_scores(path, np.ones((5, 4)), _dataset(n=5).labels)
+    _replace_cell(path, 2, col, "nan")
+    with pytest.raises(ValueError, match="non-finite") as info:
+        dataio.read_scores(path)
+    assert str(path) in str(info.value)
+
+
+# every finite double, -0.0 and subnormals included
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _matrices():
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   max_side=6),
+                      elements=_finite)
+
+
+@st.composite
+def _scores_and_y3(draw):
+    scores = draw(_matrices())
+    return scores, draw(hnp.arrays(np.float64, scores.shape[0],
+                                   elements=_finite))
+
+
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_matrices())
+@example(rows=np.array([[-0.0, 5e-324, -2.2250738585072014e-308,
+                         1.7976931348623157e308]]))
+def test_table_round_trip_bit_identical(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "table_round_trip.csv"
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    dataio.write_table_csv(path, header, rows)
+    back_header, back = dataio.read_table_csv(path)
+    assert back_header == header
+    assert _bits_equal(back, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_scores_and_y3())
+@example(case=(np.array([[-0.0, 5e-324]]), np.array([-5e-324])))
+def test_scores_round_trip_bit_identical(tmp_path_factory, case):
+    scores, y3 = case
+    n = scores.shape[0]
+    labels = LabelSet(y1=np.arange(n) % 2, y2=np.arange(n) // 2 % 2, y3=y3)
+    path = tmp_path_factory.getbasetemp() / "scores_round_trip.csv"
+    dataio.write_scores(path, scores, labels)
+    back, back_labels = dataio.read_scores(path)
+    assert _bits_equal(back, scores)
+    assert _bits_equal(back_labels.y3, y3)
+    assert np.array_equal(back_labels.y1, labels.y1)
+    assert np.array_equal(back_labels.y2, labels.y2)
 
 
 def test_scores_wrong_header(tmp_path):

@@ -1,13 +1,14 @@
 """End-to-end orchestration: config validation, splitting, ranking checks,
 artifact layout, reproducibility, and the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdexplain import cli, explain, mlp, pipeline
+from fdexplain import cli, explain, metrics, mlp, pipeline
 from fdexplain._version import __version__
 from fdexplain.dataio import read_dataset, read_json, read_scores
 from fdexplain.errors import PipelineError
@@ -404,6 +405,71 @@ def test_cli_stagewise(tmp_path):
     assert report.importances.shape == (scores.shape[1], 3)
 
 
+def test_cli_chain_reproduces_run_stage_by_stage(smoke_run, tmp_path):
+    """Subcommands fed the run's stage seeds and network sizes rewrite the
+    run's data, components, scores, networks and importances byte for
+    byte."""
+    config, manifest, outdir = smoke_run
+    seeds, chain = manifest.stage_seeds, tmp_path
+
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+
+    run("simulate", "--n", config.n, "--seed", seeds["simulate"],
+        "--grid-count", config.grid_count, "-o", chain / "data" / "dataset.csv")
+    run("split", "--data", chain / "data" / "dataset.csv",
+        "--seed", seeds["split"], "--outdir", chain / "data")
+    run("fpca", "--train", chain / "data" / "train.csv",
+        "--outdir", chain / "fpca")
+    for name in pipeline.SPLIT_NAMES:
+        run("transform", "--model", chain / "fpca",
+            "--data", chain / "data" / f"{name}.csv",
+            "-o", chain / "scores" / f"{name}.csv")
+    for target in pipeline.TARGETS:
+        net = config.mlp_configs[target]
+        run("train", "--scores", chain / "scores" / "train.csv",
+            "--target", target, "--hidden", *net.hidden_sizes,
+            "--max-epochs", net.max_epochs, "--seed", seeds[f"train-{target}"],
+            "--outdir", chain / "models" / target)
+        run("pfi", "--model", chain / "models" / target,
+            "--scores", chain / "scores" / f"{config.pfi_split}.csv",
+            "--target", target, "--replications", config.pfi_replications,
+            "--seed", seeds[f"pfi-{target}"], "--outdir", chain / "pfi")
+
+    for sub in ("data", "fpca", "scores", "models", "pfi"):
+        files = [p for p in (outdir / sub).rglob("*") if p.is_file()]
+        assert files, sub
+        for path in files:
+            rel = path.relative_to(outdir)
+            assert (chain / rel).read_bytes() == path.read_bytes(), rel
+    assert ((chain / "fpca" / "variance_explained.csv").read_bytes()
+            == (outdir / "tables" / "variance_explained.csv").read_bytes())
+
+
+def test_cli_train_defaults_to_the_runs_network(tmp_path):
+    """Without network flags, `train` builds the run's network for the
+    target (raw scores, not standardized), which separates y1."""
+    d = tmp_path
+    assert cli.main(["simulate", "--n", "400", "--seed", "3",
+                     "-o", str(d / "dataset.csv")]) == 0
+    assert cli.main(["split", "--data", str(d / "dataset.csv"), "--seed", "3",
+                     "--outdir", str(d / "data")]) == 0
+    assert cli.main(["fpca", "--train", str(d / "data" / "train.csv"),
+                     "--outdir", str(d / "fpca")]) == 0
+    for name in ("train", "test"):
+        assert cli.main(["transform", "--model", str(d / "fpca"),
+                         "--data", str(d / "data" / f"{name}.csv"),
+                         "-o", str(d / f"scores_{name}.csv")]) == 0
+    assert cli.main(["train", "--scores", str(d / "scores_train.csv"),
+                     "--target", "y1", "--seed", "3",
+                     "--outdir", str(d / "y1")]) == 0
+    model = mlp.load_mlp(d / "y1")
+    scores, labels = read_scores(d / "scores_test.csv")
+    assert metrics.accuracy(model.predict_labels(scores), labels.y1) >= 0.95
+    assert model.config == dataclasses.replace(
+        pipeline.RunConfig().mlp_configs["y1"], seed=3)
+
+
 def test_cli_report_and_figures_rebuild_byte_identical(smoke_run):
     _, _, outdir = smoke_run
     before_report = (outdir / "report.json").read_bytes()
@@ -431,11 +497,16 @@ def test_cli_run_with_config_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_dict()))
     rundir = tmp_path / "cli_run"
-    assert cli.main(["run", "--config", str(path),
+    # given flags override the file's values, absent ones keep them
+    assert cli.main(["run", "--config", str(path), "--n", "160",
+                     "--seed", "9", "--grid-count", "30",
                      "--outdir", str(rundir)]) == 0
     manifest = read_json(rundir / "manifest.json")
     assert manifest["failed_stage"] is None
     assert manifest["config"]["outdir"] == str(rundir)
+    assert (manifest["config"]["n"], manifest["config"]["seed"]) == (160, 9)
+    assert manifest["config"]["grid"]["count"] == 30
+    assert manifest["config"]["pfi"]["replications"] == 3
     assert (rundir / "report.md").exists()
 
 
