@@ -84,12 +84,20 @@ def _write_labelled(csv_path: Path, header: list[str], values: np.ndarray,
 def _split_labels(path: Path, data: np.ndarray,
                   width: int) -> tuple[np.ndarray, LabelSet]:
     """Split a table read back from `_write_labelled` into its `width`
-    value columns and the label columns; every cell must be finite."""
+    value columns and the label columns; every cell must be finite and
+    every y1/y2 cell exactly 0 or 1."""
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"{path}: non-finite value in data row {row + 1}, "
                          f"column {col + 1}")
+    classes = data[:, width:width + 2]
+    bad = np.argwhere((classes != 0.0) & (classes != 1.0))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: label y{col + 1} is "
+                         f"{float(classes[row, col])!r}, not 0 or 1, in "
+                         f"data row {row + 1}, column {width + col + 1}")
     return np.ascontiguousarray(data[:, :width]), LabelSet(
         y1=data[:, width].astype(np.int64),
         y2=data[:, width + 1].astype(np.int64),

@@ -35,6 +35,13 @@ def _squared(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
 _LOSS_FUNCS = {"zero_one": _zero_one, "squared": _squared}
 
 
+def _mean_loss(loss_fn, predicted, actual) -> float:
+    """np.mean of the per-observation losses, bit for bit, without its
+    Python-level wrapper."""
+    losses = loss_fn(np.asarray(predicted, dtype=np.float64), actual)
+    return float(np.add.reduce(losses, axis=None) / losses.size)
+
+
 @dataclass
 class PfiReport:
     """Permutation importance results for one model.
@@ -92,7 +99,7 @@ def permutation_importance(predict, X: np.ndarray, y: np.ndarray, loss: str,
         raise ValueError("need at least 2 observations to permute")
     loss_fn = _LOSS_FUNCS[loss]
 
-    baseline = float(np.mean(loss_fn(np.asarray(predict(X), dtype=np.float64), y)))
+    baseline = _mean_loss(loss_fn, predict(X), y)
     work = X.copy()
     importances = np.empty((n_feat, replications))
     for j in range(n_feat):
@@ -100,8 +107,7 @@ def permutation_importance(predict, X: np.ndarray, y: np.ndarray, loss: str,
         for rep in range(replications):
             rng = substream(seed, j, rep)
             work[:, j] = saved[rng.permutation(n)]
-            permuted = float(np.mean(
-                loss_fn(np.asarray(predict(work), dtype=np.float64), y)))
+            permuted = _mean_loss(loss_fn, predict(work), y)
             importances[j, rep] = permuted - baseline
         work[:, j] = saved
 

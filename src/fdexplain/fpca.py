@@ -145,20 +145,38 @@ def save_model(model: FpcaModel, outdir: Path) -> None:
     t = model.grid.points
     write_table_csv(outdir / "mean.csv", ["t", "mean"],
                     np.column_stack([t, model.mean]))
-    header = ["t"] + [f"fpc_{j + 1}" for j in range(model.n_components)]
-    write_table_csv(outdir / "eigenfunctions.csv", header,
+    write_table_csv(outdir / "eigenfunctions.csv",
+                    _eigenfunctions_header(model.n_components),
                     np.column_stack([t, model.eigenfunctions.T]))
+
+
+def _eigenfunctions_header(n_components: int) -> list[str]:
+    return ["t"] + [f"fpc_{j + 1}" for j in range(n_components)]
+
+
+def _read_grid_table(path: Path, header: list[str],
+                     grid: TimeGrid) -> np.ndarray:
+    """A saved table with the given columns, t first, and one row per
+    grid point."""
+    got, tab = read_table_csv(path)
+    if (got != header or tab.shape[0] != grid.count
+            or not np.array_equal(tab[:, 0], grid.points)):
+        raise ValueError(f"{path}: expected columns {','.join(header)} and "
+                         f"one row per point of the {grid.count}-point grid "
+                         f"in fpca.json; got columns {','.join(got)} and "
+                         f"{tab.shape[0]} rows")
+    return tab
 
 
 def load_model(outdir: Path) -> FpcaModel:
     outdir = Path(outdir)
     meta = read_json(outdir / "fpca.json")
     grid = grid_from_dict(meta["grid"])
-    _, mean_tab = read_table_csv(outdir / "mean.csv")
-    _, eig_tab = read_table_csv(outdir / "eigenfunctions.csv")
+    mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
+    eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",
+                               _eigenfunctions_header(meta["n_components"]),
+                               grid)
     eigenfunctions = np.ascontiguousarray(eig_tab[:, 1:].T)
-    if eigenfunctions.shape[0] != meta["n_components"]:
-        raise ValueError(f"{outdir}: eigenfunctions.csv does not match manifest")
     return FpcaModel(grid, mean_tab[:, 1].copy(), eigenfunctions,
                      np.asarray(meta["eigenvalues"], dtype=np.float64),
                      int(meta["n_train"]))

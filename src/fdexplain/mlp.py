@@ -116,11 +116,12 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _mean_loss(z: np.ndarray, y: np.ndarray, task_code: int) -> float:
+    # np.add.reduce(x) / n is np.mean(x), bit for bit, minus its wrapper
     if task_code == kernels.TASK_CLASSIFICATION:
-        return float(np.mean(np.maximum(z, 0.0) - y * z
-                             + np.log1p(np.exp(-np.abs(z)))))
+        return float(np.add.reduce(np.maximum(z, 0.0) - y * z
+                                   + np.log1p(np.exp(-np.abs(z)))) / z.size)
     r = z - y
-    return float(np.mean(r * r))
+    return float(np.add.reduce(r * r) / z.size)
 
 
 class Mlp:
@@ -161,7 +162,13 @@ class Mlp:
         if scores.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, "
                              f"got {scores.shape[1]}")
-        return np.ascontiguousarray((scores - self.feature_mean) / self.feature_scale)
+        mean, scale = self.feature_mean, self.feature_scale
+        # (x - +0.0) / 1.0 is x bit for bit, -0.0 included; a -0.0 mean
+        # would turn -0.0 into +0.0, so only an all-+0.0 mean is skipped
+        if not (np.count_nonzero(mean) or np.count_nonzero(np.signbit(mean))
+                or np.count_nonzero(scale != 1.0)):
+            return np.ascontiguousarray(scores)
+        return np.ascontiguousarray((scores - mean) / scale)
 
     def raw_output(self, scores: np.ndarray) -> np.ndarray:
         return kernels.mlp_forward(self.params, self.sizes,

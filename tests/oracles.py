@@ -6,12 +6,22 @@ permutation importance by exhaustive enumeration instead of Monte
 Carlo sampling, peak counts by direct finite differencing of the
 emitted curve, and signature-curve batches by an explicit loop nest
 instead of broadcasting. None of them share code with the package.
+
+The network kernels are the exception: `mlp_forward_ref`,
+`mlp_loss_grad_ref` and `adam_epoch_ref` are the straightforward numpy
+kernels that `fdexplain.kernels` replaced with in-place, view-based
+versions. They deliberately share the route, the same floating-point
+operations in the same order, so the library kernels must reproduce
+them bit for bit; the maths itself is checked by the gradient checks
+and closed forms in test_mlp.py and the acceptance gate.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from fdexplain.kernels import TASK_CLASSIFICATION
 
 
 def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100,
@@ -103,3 +113,106 @@ def curve_batch_loops(t, centers, widths, amps, n_peaks, gain, boost,
                 v += amps[i, k] * np.exp(-d * d / (2.0 * widths[i, k] * widths[i, k]))
             out[i, j] = gain[i] * v
     return out
+
+
+# network kernels: one fresh array per operation, the route that
+# fdexplain.kernels must match bit for bit
+
+def mlp_forward_ref(params, sizes, X):
+    a = X
+    off = 0
+    n_layers = sizes.shape[0] - 1
+    for layer in range(n_layers):
+        fan_in = sizes[layer]
+        fan_out = sizes[layer + 1]
+        W = params[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        b = params[off:off + fan_out]
+        off += fan_out
+        z = np.dot(a, W) + b
+        if layer < n_layers - 1:
+            a = np.maximum(z, 0.0)
+        else:
+            a = z
+    return a[:, 0]
+
+
+def mlp_loss_grad_ref(params, sizes, X, y, task, grad):
+    """Mean loss over the batch and its gradient, written into `grad`."""
+    n_layers = sizes.shape[0] - 1
+    n = X.shape[0]
+    acts = [X]
+    zs = []
+    a = X
+    off = 0
+    for layer in range(n_layers):
+        fan_in = sizes[layer]
+        fan_out = sizes[layer + 1]
+        W = params[off:off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        b = params[off:off + fan_out]
+        off += fan_out
+        z = np.dot(a, W) + b
+        zs.append(z)
+        if layer < n_layers - 1:
+            a = np.maximum(z, 0.0)
+        else:
+            a = z
+        acts.append(a)
+
+    z_out = zs[n_layers - 1][:, 0]
+    if task == TASK_CLASSIFICATION:
+        # logit formulation of binary cross-entropy, stable for large |z|
+        loss = np.mean(np.maximum(z_out, 0.0) - y * z_out
+                       + np.log1p(np.exp(-np.abs(z_out))))
+        dz = (1.0 / (1.0 + np.exp(-z_out)) - y) / n
+    else:
+        r = z_out - y
+        loss = np.mean(r * r)
+        dz = 2.0 * r / n
+
+    delta = dz.reshape(n, 1)
+    off_end = params.shape[0]
+    for layer in range(n_layers - 1, -1, -1):
+        fan_in = sizes[layer]
+        fan_out = sizes[layer + 1]
+        off_b = off_end - fan_out
+        off_w = off_b - fan_in * fan_out
+        a_prev_t = np.ascontiguousarray(acts[layer].T)
+        grad[off_w:off_b] = np.dot(a_prev_t, delta).reshape(fan_in * fan_out)
+        grad[off_b:off_end] = np.sum(delta, axis=0)
+        if layer > 0:
+            W_t = np.ascontiguousarray(
+                params[off_w:off_w + fan_in * fan_out].reshape(fan_in, fan_out).T)
+            back = np.dot(delta, W_t)
+            delta = np.where(zs[layer - 1] > 0.0, back, 0.0)
+        off_end = off_w
+    return loss
+
+
+def adam_epoch_ref(params, m1, m2, step0, sizes, X, y, order, batch_size,
+               lr, beta1, beta2, eps, task):
+    """One epoch of mini-batch adaptive-moment updates, in place.
+
+    Returns (mean training loss over the epoch, updated step count).
+    """
+    n = order.shape[0]
+    grad = np.empty_like(params)
+    total = 0.0
+    step = step0
+    n_batches = (n + batch_size - 1) // batch_size
+    for ib in range(n_batches):
+        lo = ib * batch_size
+        hi = min(lo + batch_size, n)
+        idx = order[lo:hi]
+        Xb = X[idx]
+        yb = y[idx]
+        loss = mlp_loss_grad_ref(params, sizes, Xb, yb, task, grad)
+        total += loss * (hi - lo)
+        step += 1
+        m1[:] = beta1 * m1 + (1.0 - beta1) * grad
+        m2[:] = beta2 * m2 + (1.0 - beta2) * grad * grad
+        m1_hat = m1 / (1.0 - beta1 ** step)
+        m2_hat = m2 / (1.0 - beta2 ** step)
+        params -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
+    return total / n, step

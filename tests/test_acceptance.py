@@ -4,7 +4,8 @@ Each test prints exactly one `[criterion NN] <description>: PASS/FAIL`
 line. Criteria 3, 5, 8, 9, and 10 share one full-scale run (n=2000,
 1000-point grid, master seed 42) executed with a relative output
 directory; criterion 9 repeats it from a different working directory
-and demands byte-identical artifacts.
+and demands byte-identical artifacts. Those five carry the `slow` marker,
+so `pytest -m "not slow"` runs everything else in seconds.
 """
 
 import os
@@ -81,6 +82,7 @@ def test_criterion_02_fpca_oracle_suite():
         assert time.perf_counter() - start < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_03_variance_concentration(desk):
     with _criterion(3, "first component >= 80%, top three >= 95% of "
                        "variance at full scale"):
@@ -109,6 +111,7 @@ def test_criterion_04_gradient_correctness():
         assert time.perf_counter() - start < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_05_model_quality(desk):
     with _criterion(5, "classifiers reach 0.95 accuracy/F1, regressor "
                        "0.80 R2 with bounded train/test gap"):
@@ -154,6 +157,7 @@ def test_criterion_07_pfi_zero_property():
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.slow
 def test_criterion_08_importance_ranking_reproduction(desk):
     with _criterion(8, "component roles recovered: y1 led by 1 and 2, "
                        "y2 keeps 1 and 3, y3 led by 2, tail negligible"):
@@ -186,6 +190,7 @@ def test_criterion_08_importance_ranking_reproduction(desk):
         assert desk.elapsed < 600.0, desk.elapsed
 
 
+@pytest.mark.slow
 def test_criterion_09_determinism(desk, tmp_path_factory):
     with _criterion(9, "re-running the identical config from another "
                        "directory reproduces every artifact byte"):
@@ -211,6 +216,7 @@ def test_criterion_09_determinism(desk, tmp_path_factory):
         assert time.perf_counter() - start < 2.0 * desk.elapsed
 
 
+@pytest.mark.slow
 def test_criterion_10_visualization_contracts(desk):
     with _criterion(10, "SVGs parse as XML, variation curves mirror "
                         "exactly, bundles are disjoint 50/50"):

@@ -99,6 +99,32 @@ def test_read_scores_rejects_non_finite(tmp_path, col):
     assert str(path) in str(info.value)
 
 
+def _write_dataset(path):
+    dataio.write_dataset(_dataset(n=5), path)
+    return dataio.read_dataset
+
+
+def _write_scores(path):
+    dataio.write_scores(path, np.ones((5, 4)), _dataset(n=5).labels)
+    return dataio.read_scores
+
+
+@pytest.mark.parametrize("write", [_write_dataset, _write_scores])
+@pytest.mark.parametrize("label,col", [("y1", -3), ("y2", -2)])
+@pytest.mark.parametrize("text", ["7.9", "2.0", "-1.0", "0.5"])
+def test_read_rejects_class_labels_other_than_0_or_1(tmp_path, write, label,
+                                                     col, text):
+    path = tmp_path / "labelled.csv"
+    read = write(path)
+    _replace_cell(path, 4, col, text)
+    width = len(path.read_text().splitlines()[0].split(","))
+    with pytest.raises(ValueError, match=f"label {label} is {text}") as info:
+        read(path)
+    message = str(info.value)
+    assert str(path) in message
+    assert f"data row 4, column {width + col + 1}" in message
+
+
 # every finite double, -0.0 and subnormals included
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -215,3 +215,25 @@ def test_save_load_round_trip(tmp_path):
 def test_load_missing_model_errors(tmp_path):
     with pytest.raises(FileNotFoundError, match="missing artifact"):
         fpca.load_model(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("name", ["mean.csv", "eigenfunctions.csv"])
+@pytest.mark.parametrize("edit", ["drop_rows", "shift_t", "drop_column"])
+def test_load_rejects_tables_off_the_grid(tmp_path, name, edit):
+    rng = np.random.default_rng(14)
+    fpca.save_model(fpca.fit(helpers.make_dataset(rng.normal(size=(8, 10)))),
+                    tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    if edit == "drop_rows":
+        lines = lines[:-5]
+    elif edit == "shift_t":
+        cells = lines[3].split(",")
+        cells[0] = repr(float(cells[0]) + 1e-3)
+        lines[3] = ",".join(cells)
+    else:
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="10-point grid") as info:
+        fpca.load_model(tmp_path)
+    assert str(path) in str(info.value)

@@ -1,7 +1,8 @@
 """Kernel correctness and determinism.
 
 The vectorized curve kernel must agree to roundoff with the loop-nest
-reference in the test oracles and with closed forms, and fresh
+reference in the test oracles and with closed forms, the network kernels
+must reproduce the reference route in the oracles bit for bit, and fresh
 interpreters must import the package cleanly and reproduce its results.
 """
 
@@ -10,11 +11,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import fdexplain
-from fdexplain import kernels
+from fdexplain import kernels, mlp
 
-from oracles import curve_batch_loops
+from oracles import (adam_epoch_ref, curve_batch_loops, mlp_forward_ref,
+                     mlp_loss_grad_ref)
 
 
 def _curve_args(n=12, m=80, k=4, seed=0):
@@ -65,6 +68,95 @@ def test_curve_single_peak_closed_form():
     expected = a * np.exp(-((t - c) ** 2) / (2.0 * w * w))
     assert _rel_max(kernels.curve_batch(*args), expected) <= 1e-12
     assert _rel_max(curve_batch_loops(*args), expected) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# network kernels: bit for bit against the reference route
+# ---------------------------------------------------------------------------
+
+TASKS = {"classification": kernels.TASK_CLASSIFICATION,
+         "regression": kernels.TASK_REGRESSION}
+WIDTHS = (1, 100, 1000)
+HIDDEN = ((8,), (50, 40, 30))
+N_ROWS = 70
+
+
+def _network(task, width, hidden, n=N_ROWS, seed=0):
+    """Sizes, parameters (nonzero biases too), inputs with some signed
+    zeros, and targets for one small network."""
+    rng = np.random.default_rng(seed)
+    sizes = mlp.layer_sizes(width, mlp.MlpConfig(hidden_sizes=hidden))
+    params = mlp.init_params(sizes, rng)
+    params += 0.05 * rng.standard_normal(params.size)
+    X = rng.standard_normal((n, width))
+    X[::5, 0] = -0.0
+    X[1::5, 0] = 0.0
+    if task == kernels.TASK_CLASSIFICATION:
+        y = (rng.random(n) < 0.5).astype(np.float64)
+    else:
+        y = rng.standard_normal(n)
+    return sizes, params, X, y
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("hidden", HIDDEN)
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("n", (1, 7, 64))
+def test_mlp_forward_matches_reference(n, width, hidden):
+    sizes, params, X, _ = _network(kernels.TASK_REGRESSION, width, hidden, n)
+    X_before = X.copy()
+    assert _same_bits(kernels.mlp_forward(params, sizes, X),
+                      mlp_forward_ref(params, sizes, X))
+    assert _same_bits(X, X_before)
+
+
+@pytest.mark.parametrize("hidden", HIDDEN)
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("n", (1, 7, 64))
+@pytest.mark.parametrize("task", TASKS.values(), ids=TASKS.keys())
+def test_mlp_loss_grad_matches_reference(task, n, width, hidden):
+    sizes, params, X, y = _network(task, width, hidden, n)
+    X_before, y_before = X.copy(), y.copy()
+    grad = np.full_like(params, np.nan)
+    grad_ref = np.empty_like(params)
+    loss = kernels.mlp_loss_grad(params, sizes, X, y, task, grad)
+    loss_ref = mlp_loss_grad_ref(params, sizes, X, y, task, grad_ref)
+    assert _same_bits(loss, loss_ref)
+    assert _same_bits(grad, grad_ref)
+    assert _same_bits(X, X_before) and _same_bits(y, y_before)
+
+
+@pytest.mark.parametrize("hidden", HIDDEN)
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("batch_size", (1, 7, 64, N_ROWS + 5))
+@pytest.mark.parametrize("task", TASKS.values(), ids=TASKS.keys())
+def test_adam_epoch_matches_reference(task, batch_size, width, hidden):
+    sizes, params, X, y = _network(task, width, hidden)
+    X_before, y_before = X.copy(), y.copy()
+    rng = np.random.default_rng(1)
+    ours = [params.copy(), np.zeros_like(params), np.zeros_like(params)]
+    theirs = [params.copy(), np.zeros_like(params), np.zeros_like(params)]
+    step = step_ref = 0
+    for _ in range(3):
+        # moments and step count carry over from epoch to epoch
+        order = rng.permutation(N_ROWS)
+        order_before = order.copy()
+        loss, step = kernels.adam_epoch(*ours, step, sizes, X, y, order,
+                                        batch_size, 1e-3, 0.9, 0.999, 1e-8,
+                                        task)
+        loss_ref, step_ref = adam_epoch_ref(*theirs, step_ref, sizes, X, y,
+                                            order, batch_size, 1e-3, 0.9,
+                                            0.999, 1e-8, task)
+        assert step == step_ref
+        assert _same_bits(loss, loss_ref)
+        for a, b in zip(ours, theirs):
+            assert _same_bits(a, b)
+        assert _same_bits(order, order_before)
+    assert _same_bits(X, X_before) and _same_bits(y, y_before)
+    assert not _same_bits(ours[0], params)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,38 @@ def test_standardization_absorbed_into_first_layer():
     assert np.max(np.abs(raw.predict(probe) - model.predict(probe))) < 1e-10
 
 
+def _standardizing_formula(model, X):
+    return np.ascontiguousarray((X - model.feature_mean) / model.feature_scale)
+
+
+@pytest.mark.parametrize("mean,scale,identity", [
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], True),
+    ([0.0, -0.0, 0.0], [1.0, 1.0, 1.0], False),
+    ([0.0, 0.0, 0.0], [1.0, 2.0, 1.0], False),
+    ([0.0, 0.25, 0.0], [1.0, 1.0, 1.0], False),
+])
+def test_standardization_identity_only_when_bitwise_exact(mean, scale,
+                                                          identity):
+    # (x - +0.0) / 1 is x for every x, but (-0.0 - -0.0) / 1 is +0.0:
+    # only an all-+0.0 mean with unit scale may skip the arithmetic
+    rng = np.random.default_rng(15)
+    sizes = np.array([3, 5, 1], dtype=np.int64)
+    model = mlp.Mlp(mlp.MlpConfig(hidden_sizes=(5,)), sizes,
+                    rng.normal(size=mlp.n_params(sizes)),
+                    np.array(mean), np.array(scale), np.zeros(3, dtype=bool),
+                    mlp.TrainingLog())
+    X = rng.normal(size=(12, 3))
+    X[::3, 1] = -0.0
+    expected = _standardizing_formula(model, X)
+    assert model._standardized(X).tobytes() == expected.tobytes()
+    assert (expected.tobytes() == X.tobytes()) == identity
+    assert model.predict(X).tobytes() == mlp._stable_sigmoid(
+        kernels.mlp_forward(model.params, sizes, expected)).tobytes()
+    # the kernel always gets a C-contiguous input, as the formula gives it
+    strided = np.repeat(X, 2, axis=1)[:, ::2]
+    assert model._standardized(strided).flags.c_contiguous
+
+
 def test_constant_feature_passthrough_flagged():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(40, 3))
