@@ -19,9 +19,9 @@ from .metrics import accuracy, f1, f1_info, mse, r2
 from .mlp import Mlp, MlpConfig, gradient_check, load_mlp, save_mlp, train
 from .pipeline import (RunConfig, RunManifest, run_pipeline, split,
                        split_sizes)
-from .sim import (Dataset, Labels, LabelSet, Signature, SimParams, TimeGrid,
+from .sim import (Dataset, Labels, LabelSet, SimParams, TimeGrid,
                   class_conditional_means, default_grid, generate_dataset,
-                  generate_signature, sample_labels)
+                  sample_labels)
 from .viz import (PlotSpec, correlation_heatmap, correlation_matrix,
                   eigenfunction_plot, extreme_score_bundles,
                   group_means_plot, load_figure_spec, mean_pm_eigenfunction,
@@ -37,9 +37,9 @@ __all__ = [
     "accuracy", "f1", "f1_info", "mse", "r2",
     "Mlp", "MlpConfig", "gradient_check", "load_mlp", "save_mlp", "train",
     "RunConfig", "RunManifest", "run_pipeline", "split", "split_sizes",
-    "Dataset", "Labels", "LabelSet", "Signature", "SimParams", "TimeGrid",
+    "Dataset", "Labels", "LabelSet", "SimParams", "TimeGrid",
     "class_conditional_means", "default_grid", "generate_dataset",
-    "generate_signature", "sample_labels",
+    "sample_labels",
     "PlotSpec", "correlation_heatmap", "correlation_matrix",
     "eigenfunction_plot", "extreme_score_bundles", "group_means_plot",
     "load_figure_spec", "mean_pm_eigenfunction", "render_svg", "save_figure",

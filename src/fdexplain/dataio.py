@@ -2,14 +2,18 @@
 
 All floats are written as shortest round-trip decimals (Python repr), so
 file -> load -> file is byte-stable and downstream numbers are exact.
+Every text artifact of the package (JSON, CSV, SVG, the Markdown report)
+is written by `_write_lines`, the one place that decides encoding, line
+endings and parent-directory creation.
 """
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .sim import Dataset, LabelSet, SimParams, TimeGrid
+from .sim import Dataset, LabelSet, SimParams, TimeGrid, default_grid
 
 FORMAT_VERSION = 1
 
@@ -20,12 +24,19 @@ def _format_row(row) -> str:
     return ",".join(map(repr, np.asarray(row, dtype=np.float64).tolist()))
 
 
-def write_json(path: Path, obj: dict) -> None:
+def _write_lines(path: Path, lines) -> None:
+    """Write `lines`, each string newline-terminated, to `path` as UTF-8,
+    creating the parent directory. `lines` may be a generator: writing
+    line by line keeps a large table out of memory as one string."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_json(path: Path, obj: dict) -> None:
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def read_json(path: Path) -> dict:
@@ -33,37 +44,35 @@ def read_json(path: Path) -> dict:
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
 
 
 def write_table_csv(path: Path, header: list[str], rows) -> None:
     """Write a float table; rows may be a 2-D array or list of sequences."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(_format_row(row) + "\n")
+    _write_lines(path, chain([",".join(header)], map(_format_row, rows)))
 
 
 def write_text_csv(path: Path, header: list[str], rows) -> None:
     """Write a table of already formatted string cells."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write_lines(path, chain([",".join(header)], map(",".join, rows)))
 
 
 def read_table_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header and float rows of a CSV written by `write_table_csv` (or one
+    of the labelled writers); a file without data rows is an error."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        # stops at the first data line; np.loadtxt would warn on none
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"{path}: no data rows below the header")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-    if data.size and data.shape[1] != len(header):
+    if data.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} columns, "
                          f"rows have {data.shape[1]}")
     return header, data
@@ -73,12 +82,10 @@ def _write_labelled(csv_path: Path, header: list[str], values: np.ndarray,
                     labels: LabelSet) -> None:
     """Write float rows each followed by the integer y1, y2 and float y3
     labels."""
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(values.shape[0]):
-            fh.write(f"{_format_row(values[i])},{int(labels.y1[i])},"
-                     f"{int(labels.y2[i])},{float(labels.y3[i])!r}\n")
+    _write_lines(csv_path, chain([",".join(header)], (
+        f"{_format_row(values[i])},{int(labels.y1[i])},"
+        f"{int(labels.y2[i])},{float(labels.y3[i])!r}"
+        for i in range(values.shape[0]))))
 
 
 def _split_labels(path: Path, data: np.ndarray,
@@ -109,7 +116,7 @@ def grid_to_dict(grid: TimeGrid) -> dict:
 
 
 def grid_from_dict(d: dict) -> TimeGrid:
-    return TimeGrid(np.linspace(d["start"], d["stop"], d["count"]))
+    return default_grid(d["count"], d["start"], d["stop"])
 
 
 def sidecar_path(csv_path: Path) -> Path:

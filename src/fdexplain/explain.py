@@ -137,7 +137,6 @@ def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
     """Persist as `<name>_pfi.csv` (feature, replication, importance rows,
     1-based indices) plus a `<name>_pfi.json` summary."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = np.column_stack([
         np.repeat(np.arange(1.0, report.n_features + 1), report.replications),
         np.tile(np.arange(1.0, report.replications + 1), report.n_features),

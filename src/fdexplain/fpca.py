@@ -132,7 +132,6 @@ def variance_explained(model: FpcaModel) -> tuple[np.ndarray, np.ndarray]:
 def save_model(model: FpcaModel, outdir: Path) -> None:
     """Persist as JSON manifest plus CSV matrices for mean and eigenfunctions."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "fpca.json", {
         "format_version": FORMAT_VERSION,
         "grid": grid_to_dict(model.grid),

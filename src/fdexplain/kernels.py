@@ -10,6 +10,11 @@ Two kinds of kernel live here:
 Everything here is pure: no RNG, no I/O, no global state. Random draws
 (jitters, noise, batch orders) happen in the calling modules.
 
+`_layer_views` is the one owner of the parameter packing: every module
+that reads, writes or initializes a flat parameter vector goes through
+its (W, b) views. `_mean_loss` is the one definition of the training
+loss, shared by the gradient kernel and the per-epoch validation loss.
+
 The network kernels work in place on views of the flat vectors and on a
 few scratch arrays, but run the same floating-point operations in the
 same order as the one-array-per-operation reference kernels in
@@ -85,20 +90,26 @@ def mlp_forward(params, sizes, X):
     return _forward(_layer_views(params, sizes), X)[-1][:, 0]
 
 
+def _mean_loss(z, y, task):
+    """Mean loss of raw network outputs `z` against targets `y`."""
+    # np.add.reduce(x) / n is np.mean(x), bit for bit, minus its wrapper
+    if task == TASK_CLASSIFICATION:
+        # logit formulation of binary cross-entropy, stable for large |z|
+        return np.add.reduce(np.maximum(z, 0.0) - y * z
+                             + np.log1p(np.exp(-np.abs(z)))) / z.size
+    r = z - y
+    return np.add.reduce(r * r) / z.size
+
+
 def _loss_grad(layers, grad_layers, X, y, task):
     n = X.shape[0]
     acts = _forward(layers, X)
     z_out = acts[-1][:, 0]
-    # np.add.reduce(x) / n is np.mean(x), bit for bit, minus its wrapper
+    loss = _mean_loss(z_out, y, task)
     if task == TASK_CLASSIFICATION:
-        # logit formulation of binary cross-entropy, stable for large |z|
-        loss = np.add.reduce(np.maximum(z_out, 0.0) - y * z_out
-                             + np.log1p(np.exp(-np.abs(z_out)))) / n
         dz = (1.0 / (1.0 + np.exp(-z_out)) - y) / n
     else:
-        r = z_out - y
-        loss = np.add.reduce(r * r) / n
-        dz = 2.0 * r / n
+        dz = 2.0 * (z_out - y) / n
 
     delta = dz.reshape(n, 1)
     for layer in range(len(layers) - 1, -1, -1):

@@ -95,14 +95,9 @@ def n_params(sizes: np.ndarray) -> int:
 
 def init_params(sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """He-style initialization: weights ~ N(0, 2/fan_in), biases zero."""
-    params = np.empty(n_params(sizes))
-    off = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = rng.standard_normal((int(fan_in), int(fan_out))) * np.sqrt(2.0 / fan_in)
-        params[off:off + fan_in * fan_out] = w.ravel()
-        off += int(fan_in * fan_out)
-        params[off:off + fan_out] = 0.0
-        off += int(fan_out)
+    params = np.zeros(n_params(sizes))
+    for W, _ in kernels._layer_views(params, sizes):
+        W[:] = rng.standard_normal(W.shape) * np.sqrt(2.0 / W.shape[0])
     return params
 
 
@@ -113,15 +108,6 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def _mean_loss(z: np.ndarray, y: np.ndarray, task_code: int) -> float:
-    # np.add.reduce(x) / n is np.mean(x), bit for bit, minus its wrapper
-    if task_code == kernels.TASK_CLASSIFICATION:
-        return float(np.add.reduce(np.maximum(z, 0.0) - y * z
-                                   + np.log1p(np.exp(-np.abs(z)))) / z.size)
-    r = z - y
-    return float(np.add.reduce(r * r) / z.size)
 
 
 class Mlp:
@@ -141,21 +127,6 @@ class Mlp:
     @property
     def n_features(self) -> int:
         return int(self.sizes[0])
-
-    def _layer_offsets(self, layer: int) -> tuple[int, int]:
-        off = 0
-        for l in range(layer):
-            off += int(self.sizes[l] * self.sizes[l + 1] + self.sizes[l + 1])
-        return off, off + int(self.sizes[layer] * self.sizes[layer + 1])
-
-    def weights(self, layer: int) -> np.ndarray:
-        lo, hi = self._layer_offsets(layer)
-        return self.params[lo:hi].reshape(int(self.sizes[layer]),
-                                          int(self.sizes[layer + 1]))
-
-    def biases(self, layer: int) -> np.ndarray:
-        _, hi = self._layer_offsets(layer)
-        return self.params[hi:hi + int(self.sizes[layer + 1])]
 
     def _standardized(self, scores: np.ndarray) -> np.ndarray:
         scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
@@ -266,8 +237,8 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
         log.train_loss.append(float(train_loss))
         log.epochs_run = epoch + 1
         if n_val > 0:
-            val_loss = _mean_loss(kernels.mlp_forward(params, sizes, X_val),
-                                  y_val, task)
+            val_loss = float(kernels._mean_loss(
+                kernels.mlp_forward(params, sizes, X_val), y_val, task))
             log.val_loss.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
@@ -327,7 +298,6 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
     """Persist as JSON manifest plus one CSV per layer (bias row, then the
     fan_in weight rows)."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "mlp.json", {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
@@ -342,10 +312,11 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
             "epochs_run": model.log.epochs_run,
         },
     })
-    for layer in range(model.sizes.size - 1):
-        header = [f"unit_{u + 1}" for u in range(int(model.sizes[layer + 1]))]
-        rows = np.vstack([model.biases(layer)[None, :], model.weights(layer)])
-        write_table_csv(outdir / f"layer_{layer}.csv", header, rows)
+    for layer, (W, b) in enumerate(kernels._layer_views(model.params,
+                                                        model.sizes)):
+        write_table_csv(outdir / f"layer_{layer}.csv",
+                        [f"unit_{u + 1}" for u in range(b.size)],
+                        np.vstack([b[None, :], W]))
 
 
 def load_mlp(outdir: Path) -> Mlp:
@@ -354,17 +325,13 @@ def load_mlp(outdir: Path) -> Mlp:
     config = MlpConfig.from_dict(meta["config"])
     sizes = np.asarray(meta["sizes"], dtype=np.int64)
     params = np.empty(n_params(sizes))
-    off = 0
-    for layer in range(sizes.size - 1):
+    for layer, (W, b) in enumerate(kernels._layer_views(params, sizes)):
         _, tab = read_table_csv(outdir / f"layer_{layer}.csv")
-        fan_in, fan_out = int(sizes[layer]), int(sizes[layer + 1])
-        if tab.shape != (fan_in + 1, fan_out):
+        if tab.shape != (W.shape[0] + 1, W.shape[1]):
             raise ValueError(f"layer_{layer}.csv has shape {tab.shape}, "
-                             f"expected {(fan_in + 1, fan_out)}")
-        params[off:off + fan_in * fan_out] = tab[1:].ravel()
-        off += fan_in * fan_out
-        params[off:off + fan_out] = tab[0]
-        off += fan_out
+                             f"expected {(W.shape[0] + 1, W.shape[1])}")
+        b[:] = tab[0]
+        W[:] = tab[1:]
     log = TrainingLog(**meta["log"])
     return Mlp(config, sizes, params,
                np.asarray(meta["feature_mean"], dtype=np.float64),

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import explain, fpca, metrics, mlp, viz
 from ._version import __version__
-from .dataio import (read_json, write_dataset, write_json, write_scores,
-                     write_table_csv, write_text_csv)
+from .dataio import (_write_lines, read_json, write_dataset, write_json,
+                     write_scores, write_table_csv, write_text_csv)
 from .errors import PipelineError
 from .kernels import BACKEND
 from .seeding import stage_seed
@@ -433,8 +433,7 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
         lines.append("")
         lines.append("Deviations from the expected component-role mapping "
                      "were detected; see ranking_checks in report.json.")
-    with open(outdir / "report.md", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(outdir / "report.md", lines)
     return {"report_json": "report.json", "report_md": "report.md"}
 
 
@@ -492,10 +491,6 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     stage.
     """
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for sub in ("data", "fpca", "scores", "models", "pfi", "tables"):
-        (outdir / sub).mkdir(exist_ok=True)
-
     write_json(outdir / "config.json", config.to_dict())
     run = RunManifest(schema_version=SCHEMA_VERSION, tool_version=__version__,
                       backend=BACKEND, config=config.to_dict(),

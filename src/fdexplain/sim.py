@@ -17,7 +17,6 @@ many signatures are generated or in what order.
 """
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -85,12 +84,6 @@ class Labels:
 
 
 @dataclass(frozen=True)
-class Signature:
-    values: np.ndarray
-    labels: Labels
-
-
-@dataclass(frozen=True)
 class SimParams:
     """Generator parameters. Defaults produce the documented qualitative
     label effects; zero the jitter and noise fields for exact-shape tests."""
@@ -155,9 +148,6 @@ class LabelSet:
     def __getitem__(self, i: int) -> Labels:
         return Labels(int(self.y1[i]), int(self.y2[i]), float(self.y3[i]))
 
-    def __iter__(self) -> Iterator[Labels]:
-        return (self[i] for i in range(len(self)))
-
 
 @dataclass
 class Dataset:
@@ -175,9 +165,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def signature(self, i: int) -> Signature:
-        return Signature(self.values[i], self.labels[i])
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.grid, self.values[idx],
@@ -200,47 +187,20 @@ def sample_labels(n: int, seed: int) -> LabelSet:
                     y3=u[:, 2].copy())
 
 
-def _jitter_draws(params: SimParams, rng: np.random.Generator):
-    """Fixed-order per-signature draws: 4 amp, 4 center, 4 width normals."""
-    z = rng.standard_normal(3 * N_BASE_PEAKS)
-    amp_factor = np.exp(params.amp_jitter_sd * z[0:4])
-    center_shift = params.center_jitter_sd * z[4:8]
-    width_factor = np.exp(params.width_jitter_sd * z[8:12])
-    return amp_factor, center_shift, width_factor
-
-
 def _signature_rows(labels: Labels, params: SimParams, rng: np.random.Generator):
-    amp_factor, center_shift, width_factor = _jitter_draws(params, rng)
-    amps = np.asarray(params.peak_amplitudes) * amp_factor
-    centers = (np.asarray(params.peak_centers) + center_shift
+    """Peak layout of one signature. Draws, in this fixed order, 4 amp,
+    4 center and 4 width jitter normals from `rng`."""
+    z = rng.standard_normal(3 * N_BASE_PEAKS)
+    amps = np.asarray(params.peak_amplitudes) * np.exp(params.amp_jitter_sd * z[0:4])
+    centers = (np.asarray(params.peak_centers) + params.center_jitter_sd * z[4:8]
                + params.y3_timing_span * (labels.y3 - 0.5))
     if labels.y1 == 1:
         centers[0] += params.y1_first_peak_shift
-    widths = np.asarray(params.peak_widths) * width_factor
+    widths = np.asarray(params.peak_widths) * np.exp(params.width_jitter_sd * z[8:12])
     n_peaks = N_BASE_PEAKS if labels.y1 == 1 else N_BASE_PEAKS - 1
     gain = (1.0 + params.y2_gain * labels.y2) * (1.0 + params.y3_gain * labels.y3)
     boost = params.y1_boost_gain if labels.y1 == 1 else 0.0
     return amps, centers, widths, n_peaks, gain, boost
-
-
-def _finalize(raw: np.ndarray, noise: np.ndarray, noise_sd: float) -> np.ndarray:
-    values = raw + noise_sd * noise
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("signature generation produced non-finite values")
-    return np.maximum(values, INTENSITY_FLOOR)
-
-
-def generate_signature(labels: Labels, params: SimParams, grid: TimeGrid,
-                       rng: np.random.Generator) -> Signature:
-    """Generate one signature, drawing jitters then noise from `rng`."""
-    amps, centers, widths, n_peaks, gain, boost = _signature_rows(labels, params, rng)
-    raw = kernels.curve_batch(
-        grid.points, centers[None, :], widths[None, :], amps[None, :],
-        np.array([n_peaks], dtype=np.int64), np.array([gain]), np.array([boost]),
-        BOOST_DECAY_RATE, params.baseline_intensity, params.baseline_decay,
-        grid.start)
-    noise = rng.standard_normal(grid.count)
-    return Signature(_finalize(raw[0], noise, params.noise_sd), labels)
 
 
 def generate_dataset(n: int, params: SimParams, seed: int,
@@ -271,7 +231,10 @@ def generate_dataset(n: int, params: SimParams, seed: int,
                               gains, boosts, BOOST_DECAY_RATE,
                               params.baseline_intensity, params.baseline_decay,
                               grid.start)
-    values = _finalize(raw, noise, params.noise_sd)
+    values = raw + params.noise_sd * noise
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("signature generation produced non-finite values")
+    values = np.maximum(values, INTENSITY_FLOOR)
     provenance = {"seed": int(seed), "n": int(n), "params": params.to_dict()}
     return Dataset(grid, values, labels, provenance)
 

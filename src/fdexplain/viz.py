@@ -10,12 +10,13 @@ keeps full shortest round-trip precision.
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import fpca as fpca_mod
-from .dataio import _format_row
+from .dataio import _format_row, _write_lines
 from .sim import Dataset, class_conditional_means
 
 KINDS = ("eigenfunction", "mean-pm-eigenfunction", "extreme-bundles",
@@ -296,9 +297,7 @@ def _render_heatmap(spec: PlotSpec) -> list:
     return out
 
 
-def render_svg(spec: PlotSpec) -> str:
-    """Serialize a PlotSpec to a self-contained SVG document."""
-    body = []
+def _svg_lines(spec: PlotSpec) -> list:
     if spec.kind == "score-scatter":
         body = _render_scatter(spec)
     elif spec.kind == "correlation-heatmap":
@@ -308,10 +307,15 @@ def render_svg(spec: PlotSpec) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
     background = f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#fafafa"/>'
-    return "\n".join([head, background, *body, "</svg>"]) + "\n"
+    return [head, background, *body, "</svg>"]
 
 
-def _figure_csv_text(spec: PlotSpec) -> str:
+def render_svg(spec: PlotSpec) -> str:
+    """Serialize a PlotSpec to a self-contained SVG document."""
+    return "\n".join(_svg_lines(spec)) + "\n"
+
+
+def _figure_csv_lines(spec: PlotSpec):
     meta = {
         "kind": spec.kind,
         "title": spec.title,
@@ -332,21 +336,17 @@ def _figure_csv_text(spec: PlotSpec) -> str:
         for i in range(spec.defined.shape[0]):
             header.append(f"defined_{i + 1}")
             columns.append(spec.defined[i].astype(np.float64))
-    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(header)]
-    lines += map(_format_row, zip(*columns))
-    return "\n".join(lines) + "\n"
+    return chain(["# " + json.dumps(meta, sort_keys=True), ",".join(header)],
+                 map(_format_row, zip(*columns)))
 
 
 def save_figure(spec: PlotSpec, outdir: Path, name: str) -> tuple[Path, Path]:
     """Write `<name>.svg` and `<name>.csv`; returns both paths."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     svg_path = outdir / f"{name}.svg"
     csv_path = outdir / f"{name}.csv"
-    with open(svg_path, "w", newline="\n") as fh:
-        fh.write(render_svg(spec))
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(_figure_csv_text(spec))
+    _write_lines(svg_path, _svg_lines(spec))
+    _write_lines(csv_path, _figure_csv_lines(spec))
     return svg_path, csv_path
 
 
@@ -356,7 +356,7 @@ def load_figure_spec(csv_path: Path) -> PlotSpec:
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise FileNotFoundError(f"missing artifact: {csv_path}")
-    with open(csv_path) as fh:
+    with open(csv_path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# "):
         raise ValueError(f"{csv_path} lacks the figure metadata line")

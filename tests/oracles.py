@@ -10,10 +10,14 @@ instead of broadcasting. None of them share code with the package.
 The network kernels are the exception: `mlp_forward_ref`,
 `mlp_loss_grad_ref` and `adam_epoch_ref` are the straightforward numpy
 kernels that `fdexplain.kernels` replaced with in-place, view-based
-versions. They deliberately share the route, the same floating-point
-operations in the same order, so the library kernels must reproduce
-them bit for bit; the maths itself is checked by the gradient checks
-and closed forms in test_mlp.py and the acceptance gate.
+versions, and `init_params_ref` is the offset-arithmetic initializer
+that `fdexplain.mlp.init_params` replaced. They deliberately share the
+route, the same floating-point operations in the same order, so the
+library code must reproduce them bit for bit; the maths itself is
+checked by the gradient checks and closed forms in test_mlp.py and the
+acceptance gate. `generate_signature_ref` is the one-signature-at-a-time
+generator that `fdexplain.sim.generate_dataset` batches; row i of a
+dataset must equal it bit for bit.
 """
 
 import itertools
@@ -21,6 +25,7 @@ import math
 
 import numpy as np
 
+from fdexplain import kernels, sim
 from fdexplain.kernels import TASK_CLASSIFICATION
 
 
@@ -216,3 +221,40 @@ def adam_epoch_ref(params, m1, m2, step0, sizes, X, y, order, batch_size,
         m2_hat = m2 / (1.0 - beta2 ** step)
         params -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
     return total / n, step
+
+
+def init_params_ref(sizes, rng):
+    """He-style initialization: weights ~ N(0, 2/fan_in), biases zero."""
+    params = np.empty(int(np.sum(sizes[:-1] * sizes[1:] + sizes[1:])))
+    off = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w = rng.standard_normal((int(fan_in), int(fan_out))) * np.sqrt(2.0 / fan_in)
+        params[off:off + fan_in * fan_out] = w.ravel()
+        off += int(fan_in * fan_out)
+        params[off:off + fan_out] = 0.0
+        off += int(fan_out)
+    return params
+
+
+# signature generation, one signature per call
+
+def generate_signature_ref(labels, params, grid, rng):
+    """Values of one signature: 4 amp, 4 center and 4 width jitter normals,
+    then `grid.count` noise normals, all drawn from `rng` in that order."""
+    z = rng.standard_normal(3 * sim.N_BASE_PEAKS)
+    amps = np.asarray(params.peak_amplitudes) * np.exp(params.amp_jitter_sd * z[0:4])
+    centers = (np.asarray(params.peak_centers) + params.center_jitter_sd * z[4:8]
+               + params.y3_timing_span * (labels.y3 - 0.5))
+    if labels.y1 == 1:
+        centers[0] += params.y1_first_peak_shift
+    widths = np.asarray(params.peak_widths) * np.exp(params.width_jitter_sd * z[8:12])
+    n_peaks = sim.N_BASE_PEAKS if labels.y1 == 1 else sim.N_BASE_PEAKS - 1
+    gain = (1.0 + params.y2_gain * labels.y2) * (1.0 + params.y3_gain * labels.y3)
+    boost = params.y1_boost_gain if labels.y1 == 1 else 0.0
+    raw = kernels.curve_batch(
+        grid.points, centers[None, :], widths[None, :], amps[None, :],
+        np.array([n_peaks], dtype=np.int64), np.array([gain]), np.array([boost]),
+        sim.BOOST_DECAY_RATE, params.baseline_intensity, params.baseline_decay,
+        grid.start)
+    noise = rng.standard_normal(grid.count)
+    return np.maximum(raw[0] + params.noise_sd * noise, sim.INTENSITY_FLOOR)

@@ -1,12 +1,14 @@
 """Artifact IO: exact float round trips and format validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fdexplain import dataio, sim
+from fdexplain import dataio, explain, fpca, mlp, sim
 from fdexplain.sim import LabelSet
 
 from helpers import make_dataset
@@ -123,6 +125,65 @@ def test_read_rejects_class_labels_other_than_0_or_1(tmp_path, write, label,
     message = str(info.value)
     assert str(path) in message
     assert f"data row 4, column {width + col + 1}" in message
+
+
+def _scores_file(d):
+    path = d / "s.csv"
+    dataio.write_scores(path, np.ones((5, 4)), _dataset(n=5).labels)
+    return path, lambda: dataio.read_scores(path)
+
+
+def _dataset_file(d):
+    path = d / "d.csv"
+    dataio.write_dataset(_dataset(), path)
+    return path, lambda: dataio.read_dataset(path)
+
+
+def _fpca_file(name):
+    def setup(d):
+        fpca.save_model(fpca.fit(_dataset(n=6)), d)
+        return d / name, lambda: fpca.load_model(d)
+    return setup
+
+
+def _pfi_file(d):
+    X = np.random.default_rng(3).normal(size=(8, 3))
+    report = explain.permutation_importance(lambda a: a[:, 0], X, X[:, 0],
+                                            "squared", 2, 0)
+    explain.save_pfi(report, d, "y3")
+    return d / "y3_pfi.csv", lambda: explain.load_pfi(d, "y3")
+
+
+def _layer_file(d):
+    X = np.random.default_rng(4).normal(size=(12, 2))
+    model = mlp.train(X, X[:, 0], mlp.MlpConfig(hidden_sizes=(3,),
+                                                task="regression",
+                                                max_epochs=2))
+    mlp.save_mlp(model, d)
+    return d / "layer_1.csv", lambda: mlp.load_mlp(d)
+
+
+@pytest.mark.parametrize("setup", [
+    _scores_file, _dataset_file, _fpca_file("mean.csv"),
+    _fpca_file("eigenfunctions.csv"), _pfi_file, _layer_file],
+    ids=["scores", "dataset", "mean", "eigenfunctions", "pfi", "layer"])
+def test_header_only_table_rejected_by_name(tmp_path, setup):
+    path, load = setup(tmp_path)
+    path.write_text(path.read_text().partition("\n")[0] + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows") as info:
+            load()
+    assert str(path) in str(info.value)
+
+
+def test_malformed_json_names_the_file(tmp_path):
+    path = tmp_path / "meta.json"
+    dataio.write_json(path, {"a": 1, "b": [0.5, "x"]})
+    path.write_text(path.read_text()[:12])
+    with pytest.raises(ValueError, match="malformed JSON") as info:
+        dataio.read_json(path)
+    assert str(path) in str(info.value)
 
 
 # every finite double, -0.0 and subnormals included

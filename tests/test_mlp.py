@@ -6,6 +6,8 @@ import pytest
 from fdexplain import kernels, mlp
 from fdexplain.errors import NumericalError
 
+import oracles
+
 
 def _toy(task: str, n: int = 10, f: int = 4, seed: int = 0):
     rng = np.random.default_rng(seed)
@@ -39,6 +41,16 @@ def test_config_validation():
 def test_config_round_trip():
     config = mlp.MlpConfig(hidden_sizes=(8, 4), task="regression", seed=5)
     assert mlp.MlpConfig.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("hidden", [(8,), (50, 40, 30), (3, 1)])
+@pytest.mark.parametrize("width", [1, 100, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_init_params_matches_offset_reference(hidden, width, seed):
+    sizes = mlp.layer_sizes(width, mlp.MlpConfig(hidden_sizes=hidden))
+    ours = mlp.init_params(sizes, np.random.default_rng(seed))
+    ref = oracles.init_params_ref(sizes, np.random.default_rng(seed))
+    assert ours.tobytes() == ref.tobytes()
 
 
 def test_layer_sizes_and_param_count():
@@ -230,8 +242,7 @@ def test_standardization_absorbed_into_first_layer():
                            max_epochs=25, seed=11, standardize=True)
     model = mlp.train(X, y, config)
 
-    w1 = model.weights(0)
-    b1 = model.biases(0)
+    w1, b1 = kernels._layer_views(model.params, model.sizes)[0]
     absorbed = model.params.copy()
     k = w1.size
     absorbed[:k] = (w1 / model.feature_scale[:, None]).ravel()
@@ -298,6 +309,9 @@ def test_save_load_round_trip(tmp_path):
     mlp.save_mlp(model, tmp_path)
     loaded = mlp.load_mlp(tmp_path)
     assert loaded.config == model.config
+    assert loaded.params.tobytes() == model.params.tobytes()
+    assert loaded.sizes.dtype == model.sizes.dtype
+    assert loaded.sizes.tobytes() == model.sizes.tobytes()
     probe = np.random.default_rng(1).normal(size=(7, 3))
     assert np.max(np.abs(loaded.predict(probe) - model.predict(probe))) <= 1e-12
 

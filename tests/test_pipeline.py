@@ -515,6 +515,22 @@ def test_cli_missing_artifact_reports_and_fails(tmp_path, capsys):
     assert "missing artifact" in capsys.readouterr().err
 
 
+def test_cli_names_a_truncated_model_file(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert cli.main(["simulate", "--n", "12", "--seed", "1",
+                     "--grid-count", "20", "-o", str(data)]) == 0
+    assert cli.main(["fpca", "--train", str(data),
+                     "--outdir", str(tmp_path / "fpca")]) == 0
+    meta = tmp_path / "fpca" / "fpca.json"
+    meta.write_text(meta.read_text()[:21])
+    capsys.readouterr()
+    assert cli.main(["transform", "--model", str(tmp_path / "fpca"),
+                     "--data", str(data),
+                     "-o", str(tmp_path / "scores.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(meta) in err
+
+
 def test_cli_rejects_bad_dataset_path(tmp_path, capsys):
     assert cli.main(["split", "--data", str(tmp_path / "nope.csv"),
                      "--outdir", str(tmp_path)]) == 1

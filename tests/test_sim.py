@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fdexplain.errors import NonFiniteError
+from fdexplain.seeding import stage_seed, substream
 from fdexplain.sim import (INTENSITY_FLOOR, Dataset, Labels, LabelSet,
                            SimParams, TimeGrid, class_conditional_means,
-                           default_grid, generate_dataset, generate_signature,
-                           sample_labels)
+                           default_grid, generate_dataset, sample_labels)
 
 import helpers
 import oracles
@@ -18,8 +18,8 @@ SMALL_GRID = default_grid(200)
 
 def _one(labels: Labels, params: SimParams = NOISELESS,
          grid: TimeGrid = SMALL_GRID) -> np.ndarray:
-    return generate_signature(labels, params, grid,
-                              np.random.default_rng(0)).values
+    return oracles.generate_signature_ref(labels, params, grid,
+                                         np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +118,11 @@ def test_sample_labels_rejects_empty():
 
 def test_noiseless_generator_is_pure():
     labels = Labels(1, 0, 0.3)
-    a = generate_signature(labels, NOISELESS, SMALL_GRID, np.random.default_rng(1))
-    b = generate_signature(labels, NOISELESS, SMALL_GRID, np.random.default_rng(2))
-    assert np.array_equal(a.values, b.values)
+    a = oracles.generate_signature_ref(labels, NOISELESS, SMALL_GRID,
+                                       np.random.default_rng(1))
+    b = oracles.generate_signature_ref(labels, NOISELESS, SMALL_GRID,
+                                       np.random.default_rng(2))
+    assert np.array_equal(a, b)
 
 
 def test_y1_toggles_peak_count():
@@ -193,6 +195,20 @@ def test_dataset_subset_reproducible():
     assert np.array_equal(small.values, big.values[:12])
     assert np.array_equal(small.labels.y1, big.labels.y1[:12])
     assert np.array_equal(small.labels.y3, big.labels.y3[:12])
+
+
+@pytest.mark.parametrize("count", [200, 1000])
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_dataset_rows_match_one_signature_reference(count, seed):
+    # row i is the one-signature generator fed substream i of the
+    # "signatures" stage stream, bit for bit
+    grid = default_grid(count)
+    ds = generate_dataset(6, SimParams(), seed=seed, grid=grid)
+    signature_seed = stage_seed(seed, "signatures")
+    for i in range(ds.n):
+        ref = oracles.generate_signature_ref(ds.labels[i], SimParams(), grid,
+                                             substream(signature_seed, i))
+        assert ref.tobytes() == ds.values[i].tobytes()
 
 
 def test_dataset_positivity():
