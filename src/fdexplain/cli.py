@@ -6,11 +6,11 @@ success; failures print a stage-named diagnostic and exit nonzero.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from . import explain, fpca, mlp, pipeline
+from ._config import _override
 from ._version import __version__
 from .dataio import (read_dataset, read_json, read_scores, write_dataset,
                      write_scores)
@@ -63,9 +63,10 @@ def _cmd_transform(args) -> int:
 
 def _cmd_train(args) -> int:
     scores, labels = read_scores(Path(args.scores))
-    config = dataclasses.replace(
+    config = _override(
         pipeline.RunConfig().mlp_configs[args.target],
-        **{f: getattr(args, f) for f in _NETWORK_FIELDS if f in args})
+        {f: getattr(args, f) for f in _NETWORK_FIELDS if f in args},
+        f"{args.target} network")
     model = pipeline.train_network(scores, labels, args.target, config,
                                    args.seed, args.outdir)
     print(f"trained {args.target} network for {model.log.epochs_run} epochs "
@@ -116,9 +117,9 @@ def _cmd_report(args) -> int:
 def _cmd_run(args) -> int:
     config = (pipeline.load_run_config(Path(args.config)) if args.config
               else pipeline.RunConfig())
-    config = dataclasses.replace(config, **{
+    config = _override(config, {
         f: getattr(args, f) for f in ("n", "seed", "grid_count", "outdir")
-        if f in args})
+        if f in args}, "config")
     manifest = pipeline.run_pipeline(config)
     report = read_json(Path(config.outdir) / "report.json")
     print(f"run complete: {Path(config.outdir) / 'manifest.json'} "

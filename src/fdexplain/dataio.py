@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sim import Dataset, LabelSet, SimParams, TimeGrid, default_grid
+from .sim import Dataset, LabelSet, TimeGrid, default_grid
 
 FORMAT_VERSION = 1
 
@@ -39,15 +39,20 @@ def write_json(path: Path, obj: dict) -> None:
     _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
-def read_json(path: Path) -> dict:
+def read_json(path: Path, required=()) -> dict:
+    """The JSON object in `path`, which must hold every key in `required`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+    missing = [k for k in required if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
+    return obj
 
 
 def write_table_csv(path: Path, header: list[str], rows) -> None:
@@ -60,18 +65,22 @@ def write_text_csv(path: Path, header: list[str], rows) -> None:
     _write_lines(path, chain([",".join(header)], map(",".join, rows)))
 
 
-def read_table_csv(path: Path) -> tuple[list[str], np.ndarray]:
+def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray]:
     """Header and float rows of a CSV written by `write_table_csv` (or one
-    of the labelled writers); a file without data rows is an error."""
+    of the labelled writers), below `skiprows` leading lines; a file
+    without data rows is an error."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
     with open(path, encoding="utf-8") as fh:
+        for _ in range(skiprows):
+            fh.readline()
         header = fh.readline().strip().split(",")
         # stops at the first data line; np.loadtxt would warn on none
         if not any(line.strip() for line in fh):
             raise ValueError(f"{path}: no data rows below the header")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+    data = np.loadtxt(path, delimiter=",", skiprows=skiprows + 1, ndmin=2,
+                      dtype=np.float64)
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: header has {len(header)} columns, "
                          f"rows have {data.shape[1]}")
@@ -143,7 +152,7 @@ def read_dataset(csv_path: Path) -> Dataset:
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise FileNotFoundError(f"missing artifact: {csv_path}")
-    side = read_json(sidecar_path(csv_path))
+    side = read_json(sidecar_path(csv_path), required=("grid",))
     grid = grid_from_dict(side["grid"])
     header, data = read_table_csv(csv_path)
     if header != dataset_header(grid.count):
@@ -151,11 +160,6 @@ def read_dataset(csv_path: Path) -> Dataset:
                          f"for a {grid.count}-point grid")
     values, labels = _split_labels(csv_path, data, grid.count)
     return Dataset(grid, values, labels, side.get("provenance", {}))
-
-
-def params_from_sidecar(csv_path: Path) -> SimParams:
-    side = read_json(sidecar_path(csv_path))
-    return SimParams.from_dict(side["provenance"]["params"])
 
 
 def scores_header(r: int) -> list[str]:

@@ -159,7 +159,9 @@ def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
 
 def load_pfi(outdir: Path, name: str) -> PfiReport:
     outdir = Path(outdir)
-    meta = read_json(outdir / f"{name}_pfi.json")
+    meta = read_json(outdir / f"{name}_pfi.json", required=(
+        "loss", "replications", "seed", "n_obs", "baseline_loss",
+        "mean_importance", "sd_importance"))
     path = outdir / f"{name}_pfi.csv"
     _, rows = read_table_csv(path)
     n_feat = len(meta["mean_importance"])

@@ -169,7 +169,8 @@ def _read_grid_table(path: Path, header: list[str],
 
 def load_model(outdir: Path) -> FpcaModel:
     outdir = Path(outdir)
-    meta = read_json(outdir / "fpca.json")
+    meta = read_json(outdir / "fpca.json", required=(
+        "grid", "n_components", "eigenvalues", "n_train"))
     grid = grid_from_dict(meta["grid"])
     mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
     eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",

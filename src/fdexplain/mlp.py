@@ -9,12 +9,13 @@ internal validation split, the weight initialization, and the per-epoch
 batch shuffles.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
+from ._config import _override
 from .dataio import FORMAT_VERSION, read_json, read_table_csv, write_json, write_table_csv
 from .errors import NumericalError
 
@@ -58,18 +59,11 @@ class MlpConfig:
             raise ValueError("val_fraction must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown MlpConfig fields: {sorted(unknown)}")
-        d = dict(d)
-        if "hidden_sizes" in d:
-            d["hidden_sizes"] = tuple(d["hidden_sizes"])
-        return cls(**d)
+        return _override(cls(), d, "MlpConfig")
 
     @property
     def task_code(self) -> int:
@@ -321,7 +315,9 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
 
 def load_mlp(outdir: Path) -> Mlp:
     outdir = Path(outdir)
-    meta = read_json(outdir / "mlp.json")
+    meta = read_json(outdir / "mlp.json", required=(
+        "config", "sizes", "feature_mean", "feature_scale", "passthrough",
+        "log"))
     config = MlpConfig.from_dict(meta["config"])
     sizes = np.asarray(meta["sizes"], dtype=np.int64)
     params = np.empty(n_params(sizes))

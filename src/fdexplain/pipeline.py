@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explain, fpca, metrics, mlp, viz
+from ._config import _override
 from ._version import __version__
 from .dataio import (_write_lines, read_json, write_dataset, write_json,
                      write_scores, write_table_csv, write_text_csv)
@@ -37,7 +38,6 @@ SCHEMA_VERSION = 1
 TARGETS = ("y1", "y2", "y3")
 TARGET_TASK = {"y1": "classification", "y2": "classification",
                "y3": "regression"}
-TARGET_LOSS = {"y1": "zero_one", "y2": "zero_one", "y3": "squared"}
 
 DEFAULT_RATIOS = (0.7225, 0.15, 0.1275)
 SPLIT_NAMES = ("train", "test", "validation")
@@ -50,6 +50,10 @@ DEFAULT_FIGURES = (
     "bundles:1", "bundles:2",
     "scatter:1,2:y1", "scatter:1,3:y2", "scatter:2:y3",
 )
+
+# config JSON sections: key `k` of section `s` holds RunConfig field `s_k`
+_SECTIONS = {"grid": ("count", "start", "stop"),
+             "pfi": ("replications", "split")}
 
 NEGLIGIBLE_INDEX = 10
 NEGLIGIBLE_FRACTION = 0.05
@@ -110,60 +114,33 @@ class RunConfig:
         self.figures = tuple(self.figures)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "grid": {"count": self.grid_count, "start": self.grid_start,
-                     "stop": self.grid_stop},
-            "sim_params": self.sim.to_dict(),
-            "ratios": list(self.ratios),
-            "seed": self.seed,
-            "mlp": {t: self.mlp_configs[t].to_dict() for t in TARGETS},
-            "pfi": {"replications": self.pfi_replications,
-                    "split": self.pfi_split},
-            "figures": list(self.figures),
-            "bundle_size": self.bundle_size,
-            "heatmap_stride": self.heatmap_stride,
-            "outdir": self.outdir,
-        }
+        d = dataclasses.asdict(self)
+        d["sim_params"], d["mlp"] = d.pop("sim"), d.pop("mlp_configs")
+        for section, keys in _SECTIONS.items():
+            d[section] = {k: d.pop(f"{section}_{k}") for k in keys}
+        return {"schema_version": SCHEMA_VERSION, **d}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {"schema_version", "n", "grid", "sim_params", "ratios",
-                 "seed", "mlp", "pfi", "figures", "bundle_size",
-                 "heatmap_stride", "outdir"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        version = d.get("schema_version", SCHEMA_VERSION)
+        """`RunConfig()` with the values a config JSON dict gives in place
+        of its own, key by key at every level: a partial `mlp.<target>`
+        entry overrides fields of the run's network for that target."""
+        base = cls()
+        layout = base.to_dict()
+        d = _override(layout, d, "config")
+        version = d.pop("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")
-        kwargs = {}
-        for key in ("n", "seed", "outdir", "bundle_size", "heatmap_stride"):
-            if key in d:
-                kwargs[key] = d[key]
-        grid = d.get("grid", {})
-        for src, dst in (("count", "grid_count"), ("start", "grid_start"),
-                         ("stop", "grid_stop")):
-            if src in grid:
-                kwargs[dst] = grid[src]
-        if "sim_params" in d:
-            kwargs["sim"] = SimParams.from_dict(d["sim_params"])
-        if "ratios" in d:
-            kwargs["ratios"] = tuple(d["ratios"])
-        if "mlp" in d:
-            base = _default_mlp_configs()
-            base.update({t: mlp.MlpConfig.from_dict(c)
-                         for t, c in d["mlp"].items()})
-            kwargs["mlp_configs"] = base
-        pfi = d.get("pfi", {})
-        if "replications" in pfi:
-            kwargs["pfi_replications"] = pfi["replications"]
-        if "split" in pfi:
-            kwargs["pfi_split"] = pfi["split"]
-        if "figures" in d:
-            kwargs["figures"] = tuple(d["figures"])
-        return cls(**kwargs)
+        d["sim"] = _override(base.sim, d.pop("sim_params"), "config.sim_params")
+        d["mlp_configs"] = {
+            t: _override(base.mlp_configs[t], c, f"config.mlp.{t}")
+            for t, c in _override(layout["mlp"], d.pop("mlp"),
+                                  "config.mlp").items()}
+        for section, keys in _SECTIONS.items():
+            given = _override(layout[section], d.pop(section),
+                              f"config.{section}")
+            d.update({f"{section}_{k}": given[k] for k in keys})
+        return _override(base, d, "config")
 
 
 def config_digest(config: RunConfig) -> str:
@@ -392,47 +369,38 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
     }
     write_json(outdir / "report.json", report)
 
-    lines = ["# Run report", ""]
-    lines.append(f"- backend: {BACKEND}")
-    lines.append(f"- signatures: {config.n} on {config.grid_count} grid points")
-    lines.append(f"- master seed: {config.seed}")
-    sizes = split_sizes(config.n, config.ratios)
-    lines.append(f"- split sizes: train {sizes[0]}, test {sizes[1]}, "
-                 f"validation {sizes[2]}")
-    lines.append(f"- realized score width: {model.n_components} components "
-                 "(capped by training-set rank)")
-    lines.append("")
-    lines.append("## Variance explained")
-    lines.append("")
-    lines.append(f"- first component: {fractions[0]:.4f}")
-    lines.append(f"- first three cumulative: "
-                 f"{cumulative[min(2, len(cumulative) - 1)]:.4f}")
-    lines.append("")
-    lines.append("## Model quality")
-    lines.append("")
-    lines.append("| target | split | " + " | ".join(
-        ["accuracy", "f1", "mse", "r2"]) + " |")
-    lines.append("|---|---|---|---|---|---|")
+    sizes, variance = report["split_sizes"], report["variance_explained"]
+    lines = [
+        "# Run report", "",
+        f"- backend: {report['backend']}",
+        f"- signatures: {report['n']} on {report['grid_count']} grid points",
+        f"- master seed: {config.seed}",
+        f"- split sizes: train {sizes['train']}, test {sizes['test']}, "
+        f"validation {sizes['validation']}",
+        f"- realized score width: {report['realized_width']} components "
+        "(capped by training-set rank)", "",
+        "## Variance explained", "",
+        f"- first component: {variance['first']:.4f}",
+        f"- first three cumulative: {variance['top3_cumulative']:.4f}", "",
+        "## Model quality", "",
+        "| target | split | accuracy | f1 | mse | r2 |",
+        "|---|---|---|---|---|---|",
+    ]
     for target in TARGETS:
         for name in SPLIT_NAMES:
-            row = metric_summary[target][name]
-            cells = [f"{row[k]:.4f}" if k in row else "-"
-                     for k in ("accuracy", "f1", "mse", "r2")]
-            lines.append(f"| {target} | {name} | " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append("## Importance rankings (top 10)")
-    lines.append("")
-    for target in TARGETS:
-        lines.append(f"- {target}: " + ", ".join(str(v) for v in top10[target]))
-    lines.append("")
-    lines.append("## Ranking checks")
-    lines.append("")
-    for name, ok in checks.items():
-        lines.append(f"- {name}: {'pass' if ok else 'DEVIATION'}")
-    if deviations:
-        lines.append("")
-        lines.append("Deviations from the expected component-role mapping "
-                     "were detected; see ranking_checks in report.json.")
+            row = report["metrics"][target][name]
+            lines.append(f"| {target} | {name} | " + " | ".join(
+                f"{row[k]:.4f}" if k in row else "-"
+                for k in ("accuracy", "f1", "mse", "r2")) + " |")
+    lines += ["", "## Importance rankings (top 10)", ""]
+    lines += [f"- {t}: " + ", ".join(map(str, report["pfi"][t]["ranking_top10"]))
+              for t in TARGETS]
+    lines += ["", "## Ranking checks", ""]
+    lines += [f"- {name}: {'pass' if ok else 'DEVIATION'}"
+              for name, ok in report["ranking_checks"].items()]
+    if report["deviations"]:
+        lines += ["", "Deviations from the expected component-role mapping "
+                  "were detected; see ranking_checks in report.json."]
     _write_lines(outdir / "report.md", lines)
     return {"report_json": "report.json", "report_md": "report.md"}
 
@@ -474,11 +442,13 @@ def train_network(scores: np.ndarray, labels, target: str,
 def compute_pfi(model: mlp.Mlp, scores: np.ndarray, labels, target: str,
                 replications: int, seed: int,
                 outdir: Path) -> explain.PfiReport:
-    """Permutation importance of the `target` network on `scores`, saved as
+    """Permutation importance of the `target` network on `scores`, under
+    the loss of the network's task, saved as
     `<outdir>/<target>_pfi.{csv,json}`."""
     report = explain.permutation_importance(
         model.predict, scores, _target_vector(labels, target),
-        TARGET_LOSS[target], replications, seed)
+        "zero_one" if model.config.task == "classification" else "squared",
+        replications, seed)
     explain.save_pfi(report, Path(outdir), target)
     return report
 

@@ -16,11 +16,12 @@ Generation is deterministic: signature ``i`` draws from a stream keyed by
 many signatures are generated or in what order.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
+from ._config import _override
 from .errors import NonFiniteError
 from .seeding import stage_seed, substream
 
@@ -123,15 +124,11 @@ class SimParams:
                        width_jitter_sd=0.0, noise_sd=0.0)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown SimParams fields: {sorted(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        return _override(cls(), d, "SimParams")
 
 
 @dataclass(frozen=True)

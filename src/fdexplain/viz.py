@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fpca as fpca_mod
-from .dataio import _format_row, _write_lines
+from .dataio import _format_row, _write_lines, read_table_csv
 from .sim import Dataset, class_conditional_means
 
 KINDS = ("eigenfunction", "mean-pm-eigenfunction", "extreme-bundles",
@@ -357,25 +357,28 @@ def load_figure_spec(csv_path: Path) -> PlotSpec:
     if not csv_path.exists():
         raise FileNotFoundError(f"missing artifact: {csv_path}")
     with open(csv_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# "):
+        first = fh.readline()
+    if not first.startswith("# "):
         raise ValueError(f"{csv_path} lacks the figure metadata line")
-    meta = json.loads(lines[0][2:])
-    header = lines[1].split(",")
-    rows = np.array([[float(v) for v in line.split(",")]
-                     for line in lines[2:]])
-    names = meta["series_names"]
-    cols = {h: rows[:, i] for i, h in enumerate(header)}
-    series = [Series(name, cols[name]) for name in names]
-    groups = cols["group"].astype(np.int64) if meta["has_groups"] else None
+    meta = json.loads(first[2:])
+    header, rows = read_table_csv(csv_path, skiprows=1)
+    cols = dict(zip(header, rows.T))
+
+    def column(name: str) -> np.ndarray:
+        if name not in cols:
+            raise ValueError(f"{csv_path}: no column {name!r}, which the "
+                             "figure metadata calls for")
+        return cols[name]
+
+    series = [Series(name, column(name)) for name in meta["series_names"]]
+    groups = column("group").astype(np.int64) if meta["has_groups"] else None
     defined = None
     if meta["has_defined"]:
-        q = rows.shape[0]
-        defined = np.array([cols[f"defined_{i + 1}"] != 0.0
-                            for i in range(q)])
+        defined = np.array([column(f"defined_{i + 1}") != 0.0
+                            for i in range(rows.shape[0])])
     return PlotSpec(kind=meta["kind"], title=meta["title"],
                     x_label=meta["x_label"], y_label=meta["y_label"],
-                    x=cols["x"], series=series, groups=groups,
+                    x=column("x"), series=series, groups=groups,
                     group_names=meta["group_names"], defined=defined,
                     extras=meta["extras"])
 

@@ -177,6 +177,21 @@ def test_header_only_table_rejected_by_name(tmp_path, setup):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("setup, name, key", [
+    (_dataset_file, "d.json", "grid"),
+    (_fpca_file("mean.csv"), "fpca.json", "grid"),
+    (_pfi_file, "y3_pfi.json", "loss"),
+    (_layer_file, "mlp.json", "config")],
+    ids=["dataset", "fpca", "pfi", "mlp"])
+def test_json_without_keys_rejected_by_name(tmp_path, setup, name, key):
+    _, load = setup(tmp_path)
+    path = tmp_path / name
+    path.write_text("{}\n")
+    with pytest.raises(ValueError, match=f"missing key '{key}'") as info:
+        load()
+    assert str(path) in str(info.value)
+
+
 def test_malformed_json_names_the_file(tmp_path):
     path = tmp_path / "meta.json"
     dataio.write_json(path, {"a": 1, "b": [0.5, "x"]})
@@ -256,7 +271,8 @@ def test_params_from_sidecar(tmp_path):
     ds = sim.generate_dataset(3, params, seed=11, grid=sim.default_grid(20))
     path = tmp_path / "d.csv"
     dataio.write_dataset(ds, path)
-    assert dataio.params_from_sidecar(path) == params
+    side = dataio.read_json(dataio.sidecar_path(path))
+    assert sim.SimParams.from_dict(side["provenance"]["params"]) == params
 
 
 def test_json_round_trip(tmp_path):

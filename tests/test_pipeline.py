@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdexplain import cli, explain, metrics, mlp, pipeline
 from fdexplain._version import __version__
@@ -137,6 +139,73 @@ def test_runconfig_from_dict_rejects_bad_input():
         pipeline.RunConfig.from_dict({"bogus": 1})
     with pytest.raises(ValueError, match="schema_version"):
         pipeline.RunConfig.from_dict({"schema_version": 99})
+    for bad, record, key in [
+            ({"grid": {"stopp": 9}}, "config.grid", "stopp"),
+            ({"pfi": {"replicatons": 3}}, "config.pfi", "replicatons"),
+            ({"mlp": {"y4": {}}}, "config.mlp", "y4"),
+            ({"mlp": {"y1": {"nodes": 3}}}, "config.mlp.y1", "nodes"),
+            ({"sim_params": {"bogus": 1}}, "config.sim_params", "bogus"),
+            ({"grid_count": 9}, "config", "grid_count")]:
+        with pytest.raises(ValueError,
+                           match=rf"unknown {record} fields: \['{key}'\]"):
+            pipeline.RunConfig.from_dict(bad)
+    with pytest.raises(ValueError, match="config.grid must be a JSON object"):
+        pipeline.RunConfig.from_dict({"grid": 5})
+
+
+def test_partial_network_entry_overrides_the_runs_network():
+    networks = pipeline.RunConfig().mlp_configs
+    config = pipeline.RunConfig.from_dict(
+        {"mlp": {"y1": {"hidden_sizes": [50, 40, 30]},
+                 "y3": {"max_epochs": 50}},
+         "grid": {"stop": -1.0}, "pfi": {"split": "validation"}})
+    assert config.mlp_configs == dict(
+        networks, y3=dataclasses.replace(networks["y3"], max_epochs=50))
+    assert (config.grid_count, config.grid_start, config.grid_stop) == (
+        1000, -4.0, -1.0)
+    assert (config.pfi_replications, config.pfi_split) == (
+        pipeline.RunConfig().pfi_replications, "validation")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_PEAK_FIELDS = ("peak_centers", "peak_widths", "peak_amplitudes")
+
+
+def _networks():
+    return st.fixed_dictionaries({t: st.builds(
+        mlp.MlpConfig,
+        hidden_sizes=st.lists(st.integers(1, 512), max_size=4).map(tuple),
+        task=st.just(pipeline.TARGET_TASK[t]), learning_rate=_positive,
+        beta1=_finite, beta2=_finite, batch_size=st.integers(1, 4096),
+        max_epochs=st.integers(1, 10**4), patience=st.integers(0, 100),
+        val_fraction=st.floats(0.0, 0.99), seed=st.integers(0, 2**32),
+        standardize=st.booleans()) for t in pipeline.TARGETS})
+
+
+_run_configs = st.builds(
+    pipeline.RunConfig,
+    n=st.integers(3, 10**6), grid_count=st.integers(2, 10**5),
+    grid_start=_finite, grid_stop=_finite,
+    sim=st.builds(SimParams, **{
+        f.name: (st.tuples(*[_positive] * 4) if f.name in _PEAK_FIELDS
+                 else st.floats(0.0, 10.0))
+        for f in dataclasses.fields(SimParams)}),
+    ratios=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)).map(
+        lambda ab: (ab[0], ab[1], 1.0 - ab[0] - ab[1])),
+    seed=st.integers(0, 2**63), mlp_configs=_networks(),
+    pfi_replications=st.integers(1, 1000),
+    pfi_split=st.sampled_from(pipeline.SPLIT_NAMES),
+    figures=st.lists(st.text()).map(tuple),
+    bundle_size=st.integers(1, 100), heatmap_stride=st.integers(1, 100),
+    outdir=st.text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_configs)
+def test_runconfig_json_round_trip_is_identity(config):
+    text = json.dumps(config.to_dict())
+    assert pipeline.RunConfig.from_dict(json.loads(text)) == config
 
 
 # ---------------------------------------------------------------------------

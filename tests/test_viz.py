@@ -68,6 +68,25 @@ def test_load_rejects_csv_without_meta(tmp_path):
         viz.load_figure_spec(tmp_path / "absent.csv")
 
 
+@pytest.mark.parametrize("cut, message", [
+    (lambda lines: lines[:1], "no data rows"),
+    (lambda lines: lines[:2], "no data rows"),
+    (lambda lines: [lines[0], lines[1].replace(",a,", ",b,")] + lines[2:],
+     "no column 'a'")],
+    ids=["metadata-only", "header-only", "series-column-missing"])
+def test_load_rejects_truncated_figure_csv(tmp_path, cut, message):
+    x = np.linspace(0.0, 1.0, 4)
+    spec = viz.PlotSpec("group-means", "t", "x", "y", x,
+                        [viz.Series("z", x), viz.Series("a", -x),
+                         viz.Series("c", x)])
+    _, path = viz.save_figure(spec, tmp_path, "f")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(cut(lines)) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        viz.load_figure_spec(path)
+    assert str(path) in str(info.value)
+
+
 def test_plotspec_validation():
     x = np.linspace(0.0, 1.0, 5)
     good = [viz.Series("a", np.ones(5))]
