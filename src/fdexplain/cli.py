@@ -70,7 +70,8 @@ def _cmd_train(args) -> int:
     model = pipeline.train_network(scores, labels, args.target, config,
                                    args.seed, args.outdir)
     print(f"trained {args.target} network for {model.log.epochs_run} epochs "
-          f"(best epoch {model.log.best_epoch}) -> {args.outdir}")
+          f"(best epoch {model.log.best_epoch}, stopped by "
+          f"{model.log.stop_reason}) -> {args.outdir}")
     return 0
 
 
@@ -104,9 +105,12 @@ def _cmd_report(args) -> int:
     config = pipeline.load_run_config(rundir / "config.json")
     model = fpca.load_model(rundir / "fpca")
     metric_summary = read_json(rundir / "tables" / "metrics.json")
+    training = {t: mlp.load_mlp(rundir / "models" / t).log
+                for t in pipeline.TARGETS}
     pfi_reports = {t: explain.load_pfi(rundir / "pfi", t)
                    for t in pipeline.TARGETS}
-    pipeline.write_report(rundir, config, model, metric_summary, pfi_reports)
+    pipeline.write_report(rundir, config, model, metric_summary, training,
+                          pfi_reports)
     deviations = read_json(rundir / "report.json")["deviations"]
     status = "no deviations" if not deviations else (
         "DEVIATIONS: " + ", ".join(deviations))

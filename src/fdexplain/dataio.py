@@ -39,20 +39,39 @@ def write_json(path: Path, obj: dict) -> None:
     _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
+def _require_keys(obj, keys, path: Path, entry: str = "",
+                  exact: bool = False) -> None:
+    """Raise a ValueError naming `path` (and the `entry` of it that `obj`
+    is) unless `obj` is a JSON object holding every key in `keys` and, if
+    `exact`, no other key."""
+    where = f"{path}: {entry + ': ' if entry else ''}"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{where}missing key {missing[0]!r}")
+    unknown = sorted(set(obj).difference(keys)) if exact else []
+    if unknown:
+        raise ValueError(f"{where}unknown key {unknown[0]!r}")
+
+
+def _parse_json(text: str, path: Path, required=()) -> dict:
+    """The JSON object in `text`, read from `path`, which must hold every
+    key in `required`."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+    _require_keys(obj, required, path)
+    return obj
+
+
 def read_json(path: Path, required=()) -> dict:
     """The JSON object in `path`, which must hold every key in `required`."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    missing = [k for k in required if not isinstance(obj, dict) or k not in obj]
-    if missing:
-        raise ValueError(f"{path}: missing key {missing[0]!r}")
-    return obj
+    return _parse_json(path.read_text(encoding="utf-8"), path, required)
 
 
 def write_table_csv(path: Path, header: list[str], rows) -> None:
@@ -124,7 +143,9 @@ def grid_to_dict(grid: TimeGrid) -> dict:
     return {"start": grid.start, "stop": grid.stop, "count": grid.count}
 
 
-def grid_from_dict(d: dict) -> TimeGrid:
+def grid_from_dict(d: dict, path: Path) -> TimeGrid:
+    """The grid that the `grid` entry `d` of the JSON file `path` holds."""
+    _require_keys(d, ("count", "start", "stop"), path, "grid")
     return default_grid(d["count"], d["start"], d["stop"])
 
 
@@ -152,8 +173,9 @@ def read_dataset(csv_path: Path) -> Dataset:
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise FileNotFoundError(f"missing artifact: {csv_path}")
-    side = read_json(sidecar_path(csv_path), required=("grid",))
-    grid = grid_from_dict(side["grid"])
+    side_path = sidecar_path(csv_path)
+    side = read_json(side_path, required=("grid",))
+    grid = grid_from_dict(side["grid"], side_path)
     header, data = read_table_csv(csv_path)
     if header != dataset_header(grid.count):
         raise ValueError(f"{csv_path}: header does not match dataset format "

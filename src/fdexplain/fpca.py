@@ -169,9 +169,10 @@ def _read_grid_table(path: Path, header: list[str],
 
 def load_model(outdir: Path) -> FpcaModel:
     outdir = Path(outdir)
-    meta = read_json(outdir / "fpca.json", required=(
+    path = outdir / "fpca.json"
+    meta = read_json(path, required=(
         "grid", "n_components", "eigenvalues", "n_train"))
-    grid = grid_from_dict(meta["grid"])
+    grid = grid_from_dict(meta["grid"], path)
     mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
     eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",
                                _eigenfunctions_header(meta["n_components"]),

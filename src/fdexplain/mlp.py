@@ -7,16 +7,26 @@ uses a linear head with mean squared error. Training is deterministic for
 a fixed config, data, and seed: one generator drives, in order, the
 internal validation split, the weight initialization, and the per-epoch
 batch shuffles.
+
+Training stops early by patience on the internal validation loss: it ends
+once `patience` epochs in a row bring no drop larger than the absolute
+`min_delta` below the lowest loss so far (Keras's absolute convention).
+Smaller drops still count for the weights kept: the returned network has
+the weights of the lowest validation loss seen. On separable data the
+cross-entropy falls geometrically toward zero, about 1% per epoch, so with
+`min_delta` 0 every epoch is a new best and training runs to `max_epochs`.
 """
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from ._config import _override
-from .dataio import FORMAT_VERSION, read_json, read_table_csv, write_json, write_table_csv
+from .dataio import (FORMAT_VERSION, _require_keys, read_json, read_table_csv,
+                     write_json, write_table_csv)
 from .errors import NumericalError
 
 ADAM_EPS = 1e-8
@@ -38,6 +48,7 @@ class MlpConfig:
     batch_size: int = 64
     max_epochs: int = 500
     patience: int = 20
+    min_delta: float = 1e-4
     val_fraction: float = 0.1
     seed: int = 0
     standardize: bool = True
@@ -55,6 +66,8 @@ class MlpConfig:
             raise ValueError("batch size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
+            raise ValueError("min_delta must be finite and >= 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
 
@@ -73,10 +86,18 @@ class MlpConfig:
 
 @dataclass
 class TrainingLog:
+    """Per-epoch losses and how training ended.
+
+    `stop_reason` is "max_epochs" when the epoch budget ran out,
+    "patience" when the last `patience` epochs brought no new lowest
+    validation loss, and "min_delta" when they did, but none lower by
+    more than `min_delta`.
+    """
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int = -1
     epochs_run: int = 0
+    stop_reason: str = "max_epochs"
 
 
 def layer_sizes(n_features: int, config: MlpConfig) -> np.ndarray:
@@ -185,8 +206,9 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
 
     Returns
     -------
-    Mlp with the weights that achieved the best internal-validation loss
-    (or the final weights when `val_fraction` is 0).
+    Mlp with the weights that achieved the lowest internal-validation loss
+    (or the final weights when `val_fraction` is 0); its log records why
+    training stopped (see TrainingLog).
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     targets = _validate_targets(targets, config.task)
@@ -218,7 +240,8 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
     log = TrainingLog()
     best_val = np.inf
     best_params = params.copy()
-    since_best = 0
+    since_best = 0  # epochs since the last new lowest loss
+    since_progress = 0  # epochs since it last fell by more than min_delta
     for epoch in range(config.max_epochs):
         order = rng.permutation(X_fit.shape[0])
         train_loss, step = kernels.adam_epoch(
@@ -234,6 +257,7 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
             val_loss = float(kernels._mean_loss(
                 kernels.mlp_forward(params, sizes, X_val), y_val, task))
             log.val_loss.append(val_loss)
+            progress = val_loss < best_val - config.min_delta
             if val_loss < best_val:
                 best_val = val_loss
                 best_params[:] = params
@@ -241,7 +265,14 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
                 since_best = 0
             else:
                 since_best += 1
-                if since_best >= config.patience:
+            if progress:
+                since_progress = 0
+            else:
+                since_progress += 1
+                if since_progress >= config.patience:
+                    log.stop_reason = ("patience"
+                                       if since_best >= config.patience
+                                       else "min_delta")
                     break
 
     if n_val > 0:
@@ -299,12 +330,7 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
         "feature_mean": [float(v) for v in model.feature_mean],
         "feature_scale": [float(v) for v in model.feature_scale],
         "passthrough": [bool(v) for v in model.passthrough],
-        "log": {
-            "train_loss": model.log.train_loss,
-            "val_loss": model.log.val_loss,
-            "best_epoch": model.log.best_epoch,
-            "epochs_run": model.log.epochs_run,
-        },
+        "log": asdict(model.log),
     })
     for layer, (W, b) in enumerate(kernels._layer_views(model.params,
                                                         model.sizes)):
@@ -315,9 +341,12 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
 
 def load_mlp(outdir: Path) -> Mlp:
     outdir = Path(outdir)
-    meta = read_json(outdir / "mlp.json", required=(
+    path = outdir / "mlp.json"
+    meta = read_json(path, required=(
         "config", "sizes", "feature_mean", "feature_scale", "passthrough",
         "log"))
+    _require_keys(meta["log"], [f.name for f in fields(TrainingLog)], path,
+                  "log", exact=True)
     config = MlpConfig.from_dict(meta["config"])
     sizes = np.asarray(meta["sizes"], dtype=np.int64)
     params = np.empty(n_params(sizes))

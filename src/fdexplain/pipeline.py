@@ -325,12 +325,15 @@ def emit_figures(config: RunConfig, outdir: Path, dataset: Dataset,
 
 
 def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
-                 pfi_reports: dict) -> dict:
+                 training: dict, pfi_reports: dict) -> dict:
     """Write report.json and report.md; returns artifact paths.
 
     The report states the realized score width (component count is capped
-    by the training-set rank), per-split metrics, importance rankings,
-    and the qualitative ranking checks with any deviations flagged.
+    by the training-set rank), per-split metrics, how long each network
+    trained and why it stopped (`training`, target -> TrainingLog),
+    importance rankings with the mean and standard deviation over the
+    shuffles, and the qualitative ranking checks with any deviations
+    flagged.
     """
     outdir = Path(outdir)
     fractions, cumulative = fpca.variance_explained(model)
@@ -354,12 +357,22 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
             "fractions_top10": [float(v) for v in fractions[:10]],
         },
         "metrics": metric_summary,
+        "training": {
+            t: {"epochs_run": training[t].epochs_run,
+                "best_epoch": training[t].best_epoch,
+                "stop_reason": training[t].stop_reason}
+            for t in TARGETS
+        },
         "pfi": {
             t: {
                 "ranking_top10": top10[t],
                 "baseline_loss": pfi_reports[t].baseline_loss,
                 "mean_importance_top10": [
                     float(pfi_reports[t].mean_importance[j - 1])
+                    for j in top10[t]
+                ],
+                "sd_importance_top10": [
+                    float(pfi_reports[t].sd_importance[j - 1])
                     for j in top10[t]
                 ],
             } for t in TARGETS
@@ -392,9 +405,20 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
             lines.append(f"| {target} | {name} | " + " | ".join(
                 f"{row[k]:.4f}" if k in row else "-"
                 for k in ("accuracy", "f1", "mse", "r2")) + " |")
-    lines += ["", "## Importance rankings (top 10)", ""]
-    lines += [f"- {t}: " + ", ".join(map(str, report["pfi"][t]["ranking_top10"]))
-              for t in TARGETS]
+    lines += ["", "## Training", "",
+              "| target | epochs run | best epoch | stop reason |",
+              "|---|---|---|---|"]
+    lines += [f"| {t} | {row['epochs_run']} | {row['best_epoch']} | "
+              f"{row['stop_reason']} |"
+              for t, row in report["training"].items()]
+    lines += ["", "## Importance rankings (top 10, mean ± sd over the "
+              "shuffles)", ""]
+    for t in TARGETS:
+        pfi = report["pfi"][t]
+        lines.append(f"- {t}: " + ", ".join(
+            f"{j} ({mean:.4g} ± {sd:.4g})" for j, mean, sd in zip(
+                pfi["ranking_top10"], pfi["mean_importance_top10"],
+                pfi["sd_importance_top10"])))
     lines += ["", "## Ranking checks", ""]
     lines += [f"- {name}: {'pass' if ok else 'DEVIATION'}"
               for name, ok in report["ranking_checks"].items()]
@@ -546,7 +570,9 @@ def run_pipeline(config: RunConfig) -> RunManifest:
             artifacts[f"pfi_{target}"] = f"pfi/{target}_pfi.csv"
 
     with _stage("report"):
-        artifacts.update(write_report(outdir, config, model, summary, pfi))
+        artifacts.update(write_report(
+            outdir, config, model, summary,
+            {t: m.log for t, m in mlps.items()}, pfi))
 
     with _stage("figures"):
         artifacts.update(emit_figures(config, outdir, dataset,

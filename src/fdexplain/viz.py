@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fpca as fpca_mod
-from .dataio import _format_row, _write_lines, read_table_csv
+from .dataio import _format_row, _parse_json, _write_lines, read_table_csv
 from .sim import Dataset, class_conditional_means
 
 KINDS = ("eigenfunction", "mean-pm-eigenfunction", "extreme-bundles",
@@ -315,6 +315,11 @@ def render_svg(spec: PlotSpec) -> str:
     return "\n".join(_svg_lines(spec)) + "\n"
 
 
+# keys of the JSON metadata line that opens a figure CSV
+_FIGURE_META_KEYS = ("kind", "title", "x_label", "y_label", "series_names",
+                     "has_groups", "group_names", "has_defined", "extras")
+
+
 def _figure_csv_lines(spec: PlotSpec):
     meta = {
         "kind": spec.kind,
@@ -360,7 +365,7 @@ def load_figure_spec(csv_path: Path) -> PlotSpec:
         first = fh.readline()
     if not first.startswith("# "):
         raise ValueError(f"{csv_path} lacks the figure metadata line")
-    meta = json.loads(first[2:])
+    meta = _parse_json(first[2:], csv_path, required=_FIGURE_META_KEYS)
     header, rows = read_table_csv(csv_path, skiprows=1)
     cols = dict(zip(header, rows.T))
 

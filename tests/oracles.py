@@ -17,7 +17,9 @@ library code must reproduce them bit for bit; the maths itself is
 checked by the gradient checks and closed forms in test_mlp.py and the
 acceptance gate. `generate_signature_ref` is the one-signature-at-a-time
 generator that `fdexplain.sim.generate_dataset` batches; row i of a
-dataset must equal it bit for bit.
+dataset must equal it bit for bit. `train_ref` is the training loop that
+stopped on any lack of a new lowest validation loss; `fdexplain.mlp.train`
+with `min_delta=0` must reproduce its weights and log bit for bit.
 """
 
 import itertools
@@ -25,7 +27,8 @@ import math
 
 import numpy as np
 
-from fdexplain import kernels, sim
+from fdexplain import kernels, mlp, sim
+from fdexplain.errors import NumericalError
 from fdexplain.kernels import TASK_CLASSIFICATION
 
 
@@ -234,6 +237,70 @@ def init_params_ref(sizes, rng):
         params[off:off + fan_out] = 0.0
         off += int(fan_out)
     return params
+
+
+def train_ref(scores, targets, config):
+    """`mlp.train` under the plain patience rule: `patience` epochs in a
+    row without a new lowest validation loss end training."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    targets = mlp._validate_targets(targets, config.task)
+    n, n_feat = scores.shape
+    if targets.size != n:
+        raise ValueError(f"{n} score rows but {targets.size} targets")
+
+    mean, scale, passthrough = mlp._standardization(scores, config.standardize)
+    X = (scores - mean) / scale
+
+    rng = np.random.default_rng(config.seed)
+    n_val = int(round(config.val_fraction * n))
+    if n_val >= n:
+        raise ValueError("validation split leaves no training rows")
+    perm = rng.permutation(n)
+    val_idx, fit_idx = perm[:n_val], perm[n_val:]
+    X_fit = np.ascontiguousarray(X[fit_idx])
+    y_fit = np.ascontiguousarray(targets[fit_idx])
+    X_val = np.ascontiguousarray(X[val_idx])
+    y_val = np.ascontiguousarray(targets[val_idx])
+
+    sizes = mlp.layer_sizes(n_feat, config)
+    params = mlp.init_params(sizes, rng)
+    m1 = np.zeros_like(params)
+    m2 = np.zeros_like(params)
+    step = 0
+    task = config.task_code
+
+    log = mlp.TrainingLog()
+    best_val = np.inf
+    best_params = params.copy()
+    since_best = 0
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(X_fit.shape[0])
+        train_loss, step = kernels.adam_epoch(
+            params, m1, m2, step, sizes, X_fit, y_fit, order,
+            config.batch_size, config.learning_rate, config.beta1,
+            config.beta2, mlp.ADAM_EPS, task)
+        if not np.isfinite(train_loss):
+            raise NumericalError(
+                f"non-finite training loss {train_loss} at epoch {epoch}")
+        log.train_loss.append(float(train_loss))
+        log.epochs_run = epoch + 1
+        if n_val > 0:
+            val_loss = float(kernels._mean_loss(
+                kernels.mlp_forward(params, sizes, X_val), y_val, task))
+            log.val_loss.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params[:] = params
+                log.best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    break
+
+    if n_val > 0:
+        params = best_params
+    return mlp.Mlp(config, sizes, params, mean, scale, passthrough, log)
 
 
 # signature generation, one signature per call

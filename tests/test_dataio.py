@@ -1,5 +1,6 @@
 """Artifact IO: exact float round trips and format validation."""
 
+import json
 import warnings
 
 import numpy as np
@@ -188,6 +189,35 @@ def test_json_without_keys_rejected_by_name(tmp_path, setup, name, key):
     path = tmp_path / name
     path.write_text("{}\n")
     with pytest.raises(ValueError, match=f"missing key '{key}'") as info:
+        load()
+    assert str(path) in str(info.value)
+
+
+def _drop(entry, key):
+    return lambda meta: meta[entry].pop(key)
+
+
+@pytest.mark.parametrize("setup, name, edit, message", [
+    (_dataset_file, "d.json", lambda meta: meta.update(grid={}),
+     "grid: missing key 'count'"),
+    (_fpca_file("mean.csv"), "fpca.json", _drop("grid", "stop"),
+     "grid: missing key 'stop'"),
+    (_fpca_file("mean.csv"), "fpca.json", lambda meta: meta.update(grid=[]),
+     "grid: not a JSON object"),
+    (_layer_file, "mlp.json", _drop("log", "best_epoch"),
+     "log: missing key 'best_epoch'"),
+    (_layer_file, "mlp.json", lambda meta: meta["log"].update(momentum=0.9),
+     "log: unknown key 'momentum'")],
+    ids=["dataset-grid-empty", "fpca-grid-key", "fpca-grid-list",
+         "mlp-log-missing", "mlp-log-unknown"])
+def test_nested_json_keys_checked_by_name(tmp_path, setup, name, edit,
+                                          message):
+    _, load = setup(tmp_path)
+    path = tmp_path / name
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=message) as info:
         load()
     assert str(path) in str(info.value)
 

@@ -1,5 +1,7 @@
 """Network training contracts: gradients, determinism, persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,9 @@ def test_config_validation():
         mlp.MlpConfig(batch_size=0)
     with pytest.raises(ValueError):
         mlp.MlpConfig(val_fraction=1.0)
+    for bad in (-1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="min_delta"):
+            mlp.MlpConfig(min_delta=bad)
     with pytest.raises(ValueError, match="unknown"):
         mlp.MlpConfig.from_dict({"task": "regression", "nodes": 3})
 
@@ -161,6 +166,90 @@ def test_final_loss_below_initial():
                            max_epochs=100, seed=2)
     model = mlp.train(X, y, config)
     assert model.log.train_loss[-1] < model.log.train_loss[0]
+
+
+def _separable(half: int = 50, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.uniform(0.5, 1.5, half),
+                        rng.uniform(-1.5, -0.5, half)])[:, None]
+    return x, np.concatenate([np.ones(half), np.zeros(half)])
+
+
+def _noise(n: int = 80, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3)), rng.normal(size=n)
+
+
+_STOPPING_CASES = {
+    # cross-entropy on separable data falls every epoch, by ever less
+    "separable": (_separable, dict(hidden_sizes=(8,), task="classification",
+                                   max_epochs=400, patience=5,
+                                   learning_rate=0.01, seed=1)),
+    # a network fit to pure noise is best before it starts to overfit
+    "noise": (_noise, dict(hidden_sizes=(16,), task="regression",
+                           max_epochs=300, patience=5, learning_rate=0.01)),
+    # a short budget ends first
+    "short": (_noise, dict(hidden_sizes=(16,), task="regression",
+                           max_epochs=4, patience=20)),
+    "no-validation": (_separable, dict(hidden_sizes=(4,), max_epochs=30,
+                                       val_fraction=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", _STOPPING_CASES)
+def test_min_delta_zero_is_the_patience_reference(case):
+    data, fields = _STOPPING_CASES[case]
+    X, y = data()
+    config = mlp.MlpConfig(min_delta=0.0, **fields)
+    ours = mlp.train(X, y, config)
+    ref = oracles.train_ref(X, y, config)
+    assert ours.params.tobytes() == ref.params.tobytes()
+    assert dataclasses.replace(ours.log, stop_reason="max_epochs") == ref.log
+    # with min_delta 0 every drop counts, so only plain patience stops early
+    assert ours.log.stop_reason == (
+        "max_epochs" if ours.log.epochs_run == config.max_epochs
+        else "patience")
+
+
+@pytest.mark.parametrize("case, min_delta, reason", [
+    ("separable", 0.0, "max_epochs"),
+    ("separable", 1e-4, "min_delta"),
+    ("separable", 1.0, "min_delta"),
+    ("noise", 1e-4, "patience"),
+    ("short", 1e-4, "max_epochs"),
+    ("no-validation", 1e-4, "max_epochs"),
+])
+def test_stop_reasons(case, min_delta, reason):
+    data, fields = _STOPPING_CASES[case]
+    X, y = data()
+    config = mlp.MlpConfig(min_delta=min_delta, **fields)
+    log = mlp.train(X, y, config).log
+    assert log.stop_reason == reason
+    assert log.epochs_run == len(log.train_loss)
+    if not log.val_loss:
+        assert log.best_epoch == -1
+        return
+    # the kept weights are those of the lowest loss, whatever min_delta is
+    assert log.val_loss[log.best_epoch] == min(log.val_loss)
+    assert log.best_epoch == log.val_loss.index(min(log.val_loss))
+    if reason == "max_epochs":
+        assert log.epochs_run == config.max_epochs
+        return
+    # each of the last `patience` epochs against the lowest loss before it
+    drops = [min(log.val_loss[:i]) - log.val_loss[i]
+             for i in range(log.epochs_run - config.patience, log.epochs_run)]
+    assert max(drops) <= config.min_delta
+    assert (max(drops) > 0) == (reason == "min_delta")
+
+
+def test_min_delta_stops_separable_training_early():
+    X, y = _separable()
+    fields = _STOPPING_CASES["separable"][1]
+    full = mlp.train(X, y, mlp.MlpConfig(min_delta=0.0, **fields))
+    early = mlp.train(X, y, mlp.MlpConfig(**fields))
+    assert early.log.epochs_run < full.log.epochs_run / 2
+    assert early.log.val_loss == full.log.val_loss[:early.log.epochs_run]
+    assert np.array_equal(early.predict_labels(X), y.astype(np.int64))
 
 
 def test_training_validation_errors():
@@ -309,6 +398,7 @@ def test_save_load_round_trip(tmp_path):
     mlp.save_mlp(model, tmp_path)
     loaded = mlp.load_mlp(tmp_path)
     assert loaded.config == model.config
+    assert loaded.log == model.log
     assert loaded.params.tobytes() == model.params.tobytes()
     assert loaded.sizes.dtype == model.sizes.dtype
     assert loaded.sizes.tobytes() == model.sizes.tobytes()

@@ -179,6 +179,7 @@ def _networks():
         task=st.just(pipeline.TARGET_TASK[t]), learning_rate=_positive,
         beta1=_finite, beta2=_finite, batch_size=st.integers(1, 4096),
         max_epochs=st.integers(1, 10**4), patience=st.integers(0, 100),
+        min_delta=st.floats(0.0, 1e3),
         val_fraction=st.floats(0.0, 0.99), seed=st.integers(0, 2**32),
         standardize=st.booleans()) for t in pipeline.TARGETS})
 
@@ -371,6 +372,20 @@ def test_smoke_report_contents(smoke_run):
         "tail_importance_negligible"}
     assert report["deviations"] == [
         name for name, ok in report["ranking_checks"].items() if not ok]
+    for target in pipeline.TARGETS:
+        log = mlp.load_mlp(outdir / "models" / target).log
+        assert report["training"][target] == {
+            "epochs_run": log.epochs_run, "best_epoch": log.best_epoch,
+            "stop_reason": log.stop_reason}
+        pfi = explain.load_pfi(outdir / "pfi", target)
+        ranking = report["pfi"][target]["ranking_top10"]
+        assert report["pfi"][target]["sd_importance_top10"] == [
+            float(pfi.sd_importance[j - 1]) for j in ranking]
+    md = (outdir / "report.md").read_text()
+    assert "| target | epochs run | best epoch | stop reason |" in md
+    y3 = report["pfi"]["y3"]
+    assert (f"{y3['ranking_top10'][0]} ({y3['mean_importance_top10'][0]:.4g}"
+            f" ± {y3['sd_importance_top10'][0]:.4g})") in md
 
 
 def test_smoke_figures_on_disk(smoke_run):
@@ -584,20 +599,32 @@ def test_cli_missing_artifact_reports_and_fails(tmp_path, capsys):
     assert "missing artifact" in capsys.readouterr().err
 
 
-def test_cli_names_a_truncated_model_file(tmp_path, capsys):
+def _transform_names_broken_model(tmp_path, capsys, edit):
+    """`transform` on a fitted model whose fpca.json `edit` rewrote fails
+    with an `error:` line naming that file."""
     data = tmp_path / "data.csv"
     assert cli.main(["simulate", "--n", "12", "--seed", "1",
                      "--grid-count", "20", "-o", str(data)]) == 0
     assert cli.main(["fpca", "--train", str(data),
                      "--outdir", str(tmp_path / "fpca")]) == 0
     meta = tmp_path / "fpca" / "fpca.json"
-    meta.write_text(meta.read_text()[:21])
+    meta.write_text(edit(meta.read_text()))
     capsys.readouterr()
     assert cli.main(["transform", "--model", str(tmp_path / "fpca"),
                      "--data", str(data),
                      "-o", str(tmp_path / "scores.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(meta) in err
+
+
+def test_cli_names_a_truncated_model_file(tmp_path, capsys):
+    _transform_names_broken_model(tmp_path, capsys, lambda text: text[:21])
+
+
+def test_cli_names_a_model_file_with_an_empty_grid(tmp_path, capsys):
+    _transform_names_broken_model(
+        tmp_path, capsys,
+        lambda text: json.dumps(dict(json.loads(text), grid={})))
 
 
 def test_cli_rejects_bad_dataset_path(tmp_path, capsys):

@@ -72,8 +72,16 @@ def test_load_rejects_csv_without_meta(tmp_path):
     (lambda lines: lines[:1], "no data rows"),
     (lambda lines: lines[:2], "no data rows"),
     (lambda lines: [lines[0], lines[1].replace(",a,", ",b,")] + lines[2:],
-     "no column 'a'")],
-    ids=["metadata-only", "header-only", "series-column-missing"])
+     "no column 'a'"),
+    (lambda lines: [lines[0][:20]] + lines[1:], "malformed JSON"),
+    (lambda lines: [lines[0].replace('"series_names"', '"names"')]
+     + lines[1:], "missing key 'series_names'"),
+    (lambda lines: [lines[0].replace('"has_groups"', '"groups"')]
+     + lines[1:], "missing key 'has_groups'"),
+    (lambda lines: ["# [1, 2]"] + lines[1:], "not a JSON object")],
+    ids=["metadata-only", "header-only", "series-column-missing",
+         "metadata-cut", "series-names-missing", "has-groups-missing",
+         "metadata-not-object"])
 def test_load_rejects_truncated_figure_csv(tmp_path, cut, message):
     x = np.linspace(0.0, 1.0, 4)
     spec = viz.PlotSpec("group-means", "t", "x", "y", x,
