@@ -10,14 +10,14 @@ batch shuffles.
 
 Training stops early by patience on the internal validation loss: it ends
 once `patience` epochs in a row bring no drop larger than the absolute
-`min_delta` below the lowest loss so far (Keras's absolute convention).
+MIN_DELTA below the lowest loss so far (Keras's absolute convention).
 Smaller drops still count for the weights kept: the returned network has
 the weights of the lowest validation loss seen. On separable data the
-cross-entropy falls geometrically toward zero, about 1% per epoch, so with
-`min_delta` 0 every epoch is a new best and training runs to `max_epochs`.
+cross-entropy falls geometrically toward zero, about 1% per epoch, so
+without MIN_DELTA every epoch is a new best and training runs to
+`max_epochs`.
 """
 
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -30,6 +30,9 @@ from .dataio import (FORMAT_VERSION, _require_keys, read_json, read_table_csv,
 from .errors import NumericalError
 
 ADAM_EPS = 1e-8
+# smallest validation-loss drop that resets the patience counter; fixed
+# before measuring, not tuned
+MIN_DELTA = 1e-4
 STANDARDIZE_MIN_SD = 1e-12
 
 TASKS = ("classification", "regression")
@@ -48,7 +51,6 @@ class MlpConfig:
     batch_size: int = 64
     max_epochs: int = 500
     patience: int = 20
-    min_delta: float = 1e-4
     val_fraction: float = 0.1
     seed: int = 0
     standardize: bool = True
@@ -66,8 +68,6 @@ class MlpConfig:
             raise ValueError("batch size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
-            raise ValueError("min_delta must be finite and >= 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
 
@@ -91,7 +91,7 @@ class TrainingLog:
     `stop_reason` is "max_epochs" when the epoch budget ran out,
     "patience" when the last `patience` epochs brought no new lowest
     validation loss, and "min_delta" when they did, but none lower by
-    more than `min_delta`.
+    more than MIN_DELTA.
     """
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
@@ -240,8 +240,7 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
     log = TrainingLog()
     best_val = np.inf
     best_params = params.copy()
-    since_best = 0  # epochs since the last new lowest loss
-    since_progress = 0  # epochs since it last fell by more than min_delta
+    since_progress = 0  # epochs since it last fell by more than MIN_DELTA
     for epoch in range(config.max_epochs):
         order = rng.permutation(X_fit.shape[0])
         train_loss, step = kernels.adam_epoch(
@@ -257,22 +256,19 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
             val_loss = float(kernels._mean_loss(
                 kernels.mlp_forward(params, sizes, X_val), y_val, task))
             log.val_loss.append(val_loss)
-            progress = val_loss < best_val - config.min_delta
+            progress = val_loss < best_val - MIN_DELTA
             if val_loss < best_val:
                 best_val = val_loss
                 best_params[:] = params
                 log.best_epoch = epoch
-                since_best = 0
-            else:
-                since_best += 1
             if progress:
                 since_progress = 0
             else:
                 since_progress += 1
                 if since_progress >= config.patience:
-                    log.stop_reason = ("patience"
-                                       if since_best >= config.patience
-                                       else "min_delta")
+                    log.stop_reason = (
+                        "patience" if epoch - log.best_epoch >= config.patience
+                        else "min_delta")
                     break
 
     if n_val > 0:

@@ -16,7 +16,8 @@ A check's margin is the gap between the mean importances that decide it,
 positive when it passes (zero is a tie, which the ranking breaks toward
 the smaller component index). `se_units` divides a two-component margin
 by the standard error of the difference of the two sampled means, taken
-as independent; the tail check's margin is `0.05 * peak - max |tail|`
+as independent; the tail check's margin is
+`pipeline.NEGLIGIBLE_FRACTION * peak - max |tail|`
 of the tightest target, in importance units.
 
 The checks are a finding at each seed, not a gate: a rise in the count
@@ -40,8 +41,6 @@ from fdexplain.dataio import read_json
 SEEDS = range(40)
 N = 2000
 GRID_COUNT = 100
-TAIL_INDEX = 10
-TAIL_FRACTION = 0.05
 
 
 def _margin(mean: list, sd: list, reps: int, j: int, rivals, k: int) -> dict:
@@ -68,8 +67,8 @@ def check_margins(pfi: dict) -> dict:
 
     y1 = pfi["y1"]["mean_importance"]
     weaker = 2 if (-y1[0], 1) < (-y1[1], 2) else 1
-    tail = min(TAIL_FRACTION * max(v) - max(map(abs, v[TAIL_INDEX:]),
-                                            default=0.0)
+    tail = min(pipeline.NEGLIGIBLE_FRACTION * max(v)
+               - max(map(abs, v[pipeline.NEGLIGIBLE_INDEX:]), default=0.0)
                for v in (p["mean_importance"] for p in pfi.values()))
     return {
         # the lower ranked of fpc 1 and 2 against the best of the rest

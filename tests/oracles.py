@@ -19,7 +19,7 @@ acceptance gate. `generate_signature_ref` is the one-signature-at-a-time
 generator that `fdexplain.sim.generate_dataset` batches; row i of a
 dataset must equal it bit for bit. `train_ref` is the training loop that
 stopped on any lack of a new lowest validation loss; `fdexplain.mlp.train`
-with `min_delta=0` must reproduce its weights and log bit for bit.
+with `MIN_DELTA` 0 must reproduce its weights and log bit for bit.
 """
 
 import itertools

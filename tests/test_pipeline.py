@@ -179,7 +179,6 @@ def _networks():
         task=st.just(pipeline.TARGET_TASK[t]), learning_rate=_positive,
         beta1=_finite, beta2=_finite, batch_size=st.integers(1, 4096),
         max_epochs=st.integers(1, 10**4), patience=st.integers(0, 100),
-        min_delta=st.floats(0.0, 1e3),
         val_fraction=st.floats(0.0, 0.99), seed=st.integers(0, 2**32),
         standardize=st.booleans()) for t in pipeline.TARGETS})
 
