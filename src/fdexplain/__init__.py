@@ -19,7 +19,7 @@ from .metrics import accuracy, f1, f1_info, mse, r2
 from .mlp import Mlp, MlpConfig, gradient_check, load_mlp, save_mlp, train
 from .pipeline import (RunConfig, RunManifest, run_pipeline, split,
                        split_sizes)
-from .sim import (Dataset, Labels, LabelSet, SimParams, TimeGrid,
+from .sim import (Dataset, LabelSet, SimParams, TimeGrid,
                   class_conditional_means, default_grid, generate_dataset,
                   sample_labels)
 from .viz import (PlotSpec, correlation_heatmap, correlation_matrix,
@@ -37,7 +37,7 @@ __all__ = [
     "accuracy", "f1", "f1_info", "mse", "r2",
     "Mlp", "MlpConfig", "gradient_check", "load_mlp", "save_mlp", "train",
     "RunConfig", "RunManifest", "run_pipeline", "split", "split_sizes",
-    "Dataset", "Labels", "LabelSet", "SimParams", "TimeGrid",
+    "Dataset", "LabelSet", "SimParams", "TimeGrid",
     "class_conditional_means", "default_grid", "generate_dataset",
     "sample_labels",
     "PlotSpec", "correlation_heatmap", "correlation_matrix",

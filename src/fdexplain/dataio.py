@@ -4,10 +4,11 @@ All floats are written as shortest round-trip decimals (Python repr), so
 file -> load -> file is byte-stable and downstream numbers are exact.
 Every text artifact of the package (JSON, CSV, SVG, the Markdown report)
 is written by `_write_lines`, the one place that decides encoding, line
-endings and parent-directory creation.
+endings, parent-directory creation and the atomic replacement of a file.
 """
 
 import json
+import os
 from itertools import chain
 from pathlib import Path
 
@@ -27,12 +28,22 @@ def _format_row(row) -> str:
 def _write_lines(path: Path, lines) -> None:
     """Write `lines`, each string newline-terminated, to `path` as UTF-8,
     creating the parent directory. `lines` may be a generator: writing
-    line by line keeps a large table out of memory as one string."""
+    line by line keeps a large table out of memory as one string.
+
+    The lines go to `<path>.tmp`, which then replaces `path` in one step,
+    so a writer that fails part way leaves no truncated file: the temp
+    file is removed and any earlier file at `path` keeps its bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -77,11 +88,6 @@ def read_json(path: Path, required=()) -> dict:
 def write_table_csv(path: Path, header: list[str], rows) -> None:
     """Write a float table; rows may be a 2-D array or list of sequences."""
     _write_lines(path, chain([",".join(header)], map(_format_row, rows)))
-
-
-def write_text_csv(path: Path, header: list[str], rows) -> None:
-    """Write a table of already formatted string cells."""
-    _write_lines(path, chain([",".join(header)], map(",".join, rows)))
 
 
 def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray]:

@@ -28,8 +28,9 @@ import numpy as np
 # the numerics implementation recorded in every run manifest and report
 BACKEND = "numpy"
 
-TASK_REGRESSION = 0
-TASK_CLASSIFICATION = 1
+# the `task` argument of the network kernels: an MlpConfig.task value
+TASK_REGRESSION = "regression"
+TASK_CLASSIFICATION = "classification"
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +172,3 @@ def adam_epoch(params, m1, m2, step0, sizes, X, y, order, batch_size,
         s1 /= s2
         params -= s1
     return total / n, step
-
-
-__all__ = [
-    "BACKEND",
-    "TASK_REGRESSION",
-    "TASK_CLASSIFICATION",
-    "curve_batch",
-    "mlp_forward",
-    "mlp_loss_grad",
-    "adam_epoch",
-]

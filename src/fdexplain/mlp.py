@@ -78,11 +78,6 @@ class MlpConfig:
     def from_dict(cls, d: dict) -> "MlpConfig":
         return _override(cls(), d, "MlpConfig")
 
-    @property
-    def task_code(self) -> int:
-        return (kernels.TASK_CLASSIFICATION if self.task == "classification"
-                else kernels.TASK_REGRESSION)
-
 
 @dataclass
 class TrainingLog:
@@ -156,13 +151,10 @@ class Mlp:
             return np.ascontiguousarray(scores)
         return np.ascontiguousarray((scores - mean) / scale)
 
-    def raw_output(self, scores: np.ndarray) -> np.ndarray:
-        return kernels.mlp_forward(self.params, self.sizes,
-                                   self._standardized(scores))
-
     def predict(self, scores: np.ndarray) -> np.ndarray:
         """Class probabilities (classification) or real predictions (regression)."""
-        z = self.raw_output(scores)
+        z = kernels.mlp_forward(self.params, self.sizes,
+                                self._standardized(scores))
         if self.config.task == "classification":
             return _stable_sigmoid(z)
         return z
@@ -235,7 +227,6 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
     m1 = np.zeros_like(params)
     m2 = np.zeros_like(params)
     step = 0
-    task = config.task_code
 
     log = TrainingLog()
     best_val = np.inf
@@ -246,7 +237,7 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
         train_loss, step = kernels.adam_epoch(
             params, m1, m2, step, sizes, X_fit, y_fit, order,
             config.batch_size, config.learning_rate, config.beta1,
-            config.beta2, ADAM_EPS, task)
+            config.beta2, ADAM_EPS, config.task)
         if not np.isfinite(train_loss):
             raise NumericalError(
                 f"non-finite training loss {train_loss} at epoch {epoch}")
@@ -254,7 +245,8 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
         log.epochs_run = epoch + 1
         if n_val > 0:
             val_loss = float(kernels._mean_loss(
-                kernels.mlp_forward(params, sizes, X_val), y_val, task))
+                kernels.mlp_forward(params, sizes, X_val), y_val,
+                config.task))
             log.val_loss.append(val_loss)
             progress = val_loss < best_val - MIN_DELTA
             if val_loss < best_val:
@@ -293,7 +285,7 @@ def gradient_check(config: MlpConfig, scores: np.ndarray, targets: np.ndarray,
     sizes = layer_sizes(n_feat, config)
     rng = np.random.default_rng(config.seed)
     params = init_params(sizes, rng)
-    task = config.task_code
+    task = config.task
 
     analytic = np.empty_like(params)
     kernels.mlp_loss_grad(params, sizes, X, targets, task, analytic)

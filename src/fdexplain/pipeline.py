@@ -27,7 +27,7 @@ from . import explain, fpca, metrics, mlp, viz
 from ._config import _override
 from ._version import __version__
 from .dataio import (_write_lines, read_json, write_dataset, write_json,
-                     write_scores, write_table_csv, write_text_csv)
+                     write_scores, write_table_csv)
 from .errors import PipelineError
 from .kernels import BACKEND
 from .seeding import stage_seed
@@ -96,11 +96,7 @@ class RunConfig:
             raise ValueError("n must be >= 3")
         if self.grid_count < 2:
             raise ValueError("grid_count must be >= 2")
-        self.ratios = tuple(float(r) for r in self.ratios)
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
-            raise ValueError("ratios must be three positive fractions")
-        if abs(sum(self.ratios) - 1.0) > 1e-12:
-            raise ValueError("ratios must sum to 1 within 1e-12")
+        self.ratios = _checked_ratios(self.ratios)
         if set(self.mlp_configs) != set(TARGETS):
             raise ValueError(f"mlp_configs must cover exactly {TARGETS}")
         for t in TARGETS:
@@ -152,9 +148,21 @@ def config_digest(config: RunConfig) -> str:
         json.dumps(d, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _checked_ratios(ratios) -> tuple[float, float, float]:
+    """`ratios` as floats, which must be three positive fractions that sum
+    to 1 (NaN fails both checks)."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
+        raise ValueError("ratios must be three positive fractions")
+    if not abs(sum(ratios) - 1.0) <= 1e-12:
+        raise ValueError("ratios must sum to 1 within 1e-12")
+    return ratios
+
+
 def split_sizes(n: int, ratios=DEFAULT_RATIOS) -> tuple[int, int, int]:
     """Train and test sizes round half away from zero; validation takes
     the remainder."""
+    ratios = _checked_ratios(ratios)
     n_train = int(np.floor(ratios[0] * n + 0.5))
     n_test = int(np.floor(ratios[1] * n + 0.5))
     n_val = n - n_train - n_test
@@ -550,13 +558,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     with _stage("metrics"):
         summary = evaluate_models(mlps, scores, splits)
         write_json(outdir / "tables" / "metrics.json", summary)
-        write_text_csv(outdir / "tables" / "metrics.csv",
-                       ["target", "split", "metric", "value"],
-                       [[target, name, metric, repr(float(value))]
-                        for target in TARGETS for name in SPLIT_NAMES
-                        for metric, value in summary[target][name].items()])
         artifacts["metrics_json"] = "tables/metrics.json"
-        artifacts["metrics_csv"] = "tables/metrics.csv"
 
     with _stage("pfi"):
         pfi = {}

@@ -72,19 +72,6 @@ def default_grid(count: int = 1000, start: float = -4.0, stop: float = 0.0) -> T
 
 
 @dataclass(frozen=True)
-class Labels:
-    y1: int
-    y2: int
-    y3: float
-
-    def __post_init__(self):
-        if self.y1 not in (0, 1) or self.y2 not in (0, 1):
-            raise ValueError("y1 and y2 must be 0 or 1")
-        if not 0.0 <= self.y3 <= 1.0:
-            raise ValueError(f"y3 must lie in [0, 1], got {self.y3}")
-
-
-@dataclass(frozen=True)
 class SimParams:
     """Generator parameters. Defaults produce the documented qualitative
     label effects; zero the jitter and noise fields for exact-shape tests."""
@@ -133,7 +120,7 @@ class SimParams:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Column arrays of labels; indexing yields a Labels record."""
+    """Column arrays of labels."""
 
     y1: np.ndarray
     y2: np.ndarray
@@ -141,9 +128,6 @@ class LabelSet:
 
     def __len__(self) -> int:
         return self.y1.size
-
-    def __getitem__(self, i: int) -> Labels:
-        return Labels(int(self.y1[i]), int(self.y2[i]), float(self.y3[i]))
 
 
 @dataclass
@@ -184,19 +168,21 @@ def sample_labels(n: int, seed: int) -> LabelSet:
                     y3=u[:, 2].copy())
 
 
-def _signature_rows(labels: Labels, params: SimParams, rng: np.random.Generator):
-    """Peak layout of one signature. Draws, in this fixed order, 4 amp,
-    4 center and 4 width jitter normals from `rng`."""
+def _signature_rows(y1: int, y2: int, y3: float, params: SimParams,
+                    rng: np.random.Generator):
+    """Peak layout of the signature with labels `y1, y2, y3`. Draws, in
+    this fixed order, 4 amp, 4 center and 4 width jitter normals from
+    `rng`."""
     z = rng.standard_normal(3 * N_BASE_PEAKS)
     amps = np.asarray(params.peak_amplitudes) * np.exp(params.amp_jitter_sd * z[0:4])
     centers = (np.asarray(params.peak_centers) + params.center_jitter_sd * z[4:8]
-               + params.y3_timing_span * (labels.y3 - 0.5))
-    if labels.y1 == 1:
+               + params.y3_timing_span * (y3 - 0.5))
+    if y1 == 1:
         centers[0] += params.y1_first_peak_shift
     widths = np.asarray(params.peak_widths) * np.exp(params.width_jitter_sd * z[8:12])
-    n_peaks = N_BASE_PEAKS if labels.y1 == 1 else N_BASE_PEAKS - 1
-    gain = (1.0 + params.y2_gain * labels.y2) * (1.0 + params.y3_gain * labels.y3)
-    boost = params.y1_boost_gain if labels.y1 == 1 else 0.0
+    n_peaks = N_BASE_PEAKS if y1 == 1 else N_BASE_PEAKS - 1
+    gain = (1.0 + params.y2_gain * y2) * (1.0 + params.y3_gain * y3)
+    boost = params.y1_boost_gain if y1 == 1 else 0.0
     return amps, centers, widths, n_peaks, gain, boost
 
 
@@ -218,10 +204,11 @@ def generate_dataset(n: int, params: SimParams, seed: int,
     gains = np.empty(n)
     boosts = np.empty(n)
     noise = np.empty((n, grid.count))
-    for i in range(n):
+    rows = zip(labels.y1.tolist(), labels.y2.tolist(), labels.y3.tolist())
+    for i, (y1, y2, y3) in enumerate(rows):
         rng_i = substream(signature_seed, i)
         amps[i], centers[i], widths[i], n_peaks[i], gains[i], boosts[i] = \
-            _signature_rows(labels[i], params, rng_i)
+            _signature_rows(y1, y2, y3, params, rng_i)
         noise[i] = rng_i.standard_normal(grid.count)
 
     raw = kernels.curve_batch(grid.points, centers, widths, amps, n_peaks,

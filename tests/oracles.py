@@ -267,7 +267,7 @@ def train_ref(scores, targets, config):
     m1 = np.zeros_like(params)
     m2 = np.zeros_like(params)
     step = 0
-    task = config.task_code
+    task = config.task
 
     log = mlp.TrainingLog()
     best_val = np.inf
@@ -305,19 +305,20 @@ def train_ref(scores, targets, config):
 
 # signature generation, one signature per call
 
-def generate_signature_ref(labels, params, grid, rng):
-    """Values of one signature: 4 amp, 4 center and 4 width jitter normals,
-    then `grid.count` noise normals, all drawn from `rng` in that order."""
+def generate_signature_ref(y1, y2, y3, params, grid, rng):
+    """Values of the signature with labels `y1, y2, y3`: 4 amp, 4 center
+    and 4 width jitter normals, then `grid.count` noise normals, all drawn
+    from `rng` in that order."""
     z = rng.standard_normal(3 * sim.N_BASE_PEAKS)
     amps = np.asarray(params.peak_amplitudes) * np.exp(params.amp_jitter_sd * z[0:4])
     centers = (np.asarray(params.peak_centers) + params.center_jitter_sd * z[4:8]
-               + params.y3_timing_span * (labels.y3 - 0.5))
-    if labels.y1 == 1:
+               + params.y3_timing_span * (y3 - 0.5))
+    if y1 == 1:
         centers[0] += params.y1_first_peak_shift
     widths = np.asarray(params.peak_widths) * np.exp(params.width_jitter_sd * z[8:12])
-    n_peaks = sim.N_BASE_PEAKS if labels.y1 == 1 else sim.N_BASE_PEAKS - 1
-    gain = (1.0 + params.y2_gain * labels.y2) * (1.0 + params.y3_gain * labels.y3)
-    boost = params.y1_boost_gain if labels.y1 == 1 else 0.0
+    n_peaks = sim.N_BASE_PEAKS if y1 == 1 else sim.N_BASE_PEAKS - 1
+    gain = (1.0 + params.y2_gain * y2) * (1.0 + params.y3_gain * y3)
+    boost = params.y1_boost_gain if y1 == 1 else 0.0
     raw = kernels.curve_batch(
         grid.points, centers[None, :], widths[None, :], amps[None, :],
         np.array([n_peaks], dtype=np.int64), np.array([gain]), np.array([boost]),

@@ -312,3 +312,20 @@ def test_json_round_trip(tmp_path):
     assert dataio.read_json(path) == obj
     with pytest.raises(FileNotFoundError, match="missing artifact"):
         dataio.read_json(tmp_path / "nope.json")
+
+
+def _lines_then_fail(count):
+    for i in range(count):
+        yield f"line {i}"
+    raise RuntimeError("writer failed")
+
+
+def test_failed_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "table.csv"
+    dataio._write_lines(path, ["old", "bytes"])
+    with pytest.raises(RuntimeError, match="writer failed"):
+        dataio._write_lines(path, _lines_then_fail(1000))
+    assert path.read_bytes() == b"old\nbytes\n"
+    with pytest.raises(RuntimeError, match="writer failed"):
+        dataio._write_lines(tmp_path / "new.csv", _lines_then_fail(3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]

@@ -65,6 +65,23 @@ def test_split_sizes_empty_split_errors():
         pipeline.split_sizes(3)
 
 
+def test_split_ratios_checked_as_the_run_checks_them(tmp_path, capsys):
+    with pytest.raises(ValueError, match="sum to 1"):
+        pipeline.split_sizes(100, (0.2, 0.2, 0.2))
+    with pytest.raises(ValueError, match="sum to 1"):
+        pipeline.split_sizes(100, (0.7, 0.2, 0.5))
+    with pytest.raises(ValueError, match="positive fractions"):
+        pipeline.split_sizes(100, (0.8, 0.3, -0.1))
+    data = tmp_path / "dataset.csv"
+    assert cli.main(["simulate", "--n", "100", "--seed", "1",
+                     "--grid-count", "10", "-o", str(data)]) == 0
+    capsys.readouterr()
+    assert cli.main(["split", "--data", str(data), "--ratios", "0.2", "0.2",
+                     "0.2", "--outdir", str(tmp_path / "splits")]) == 1
+    assert "sum to 1" in capsys.readouterr().err
+    assert not (tmp_path / "splits").exists()
+
+
 def test_split_partition_and_provenance():
     rng = np.random.default_rng(0)
     ds = make_dataset(rng.uniform(1.0, 9.0, size=(40, 8)),
@@ -151,6 +168,32 @@ def test_runconfig_from_dict_rejects_bad_input():
             pipeline.RunConfig.from_dict(bad)
     with pytest.raises(ValueError, match="config.grid must be a JSON object"):
         pipeline.RunConfig.from_dict({"grid": 5})
+
+
+BAD_KINDS = [
+    ({"mlp": {"y1": {"standardize": "no"}}}, "config.mlp.y1.standardize"),
+    ({"mlp": {"y1": {"hidden_sizes": [50.7, 40, 30]}}},
+     "config.mlp.y1.hidden_sizes"),
+    ({"figures": "heatmap"}, "config.figures"),
+    ({"pfi": {"replications": True}}, "config.pfi.replications"),
+    ({"n": "400"}, "config.n"),
+    ({"mlp": {"y1": {"hidden_sizes": 5}}}, "config.mlp.y1.hidden_sizes"),
+    ({"sim_params": {"noise_sd": "x"}}, "config.sim_params.noise_sd"),
+]
+
+
+@pytest.mark.parametrize("bad, where", BAD_KINDS,
+                         ids=[where for _, where in BAD_KINDS])
+def test_config_values_need_the_json_kind_of_their_default(
+        bad, where, tmp_path, capsys):
+    with pytest.raises(ValueError, match=rf"{where} must be"):
+        pipeline.RunConfig.from_dict(bad)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(bad))
+    assert cli.main(["run", "--config", str(path),
+                     "--outdir", str(tmp_path / "run")]) == 1
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_partial_network_entry_overrides_the_runs_network():
@@ -340,8 +383,8 @@ def test_smoke_manifest_and_artifacts(smoke_run):
                      "split_validation", "fpca_model", "variance_explained",
                      "scores_train", "scores_test", "scores_validation",
                      "mlp_y1", "mlp_y2", "mlp_y3", "metrics_json",
-                     "metrics_csv", "pfi_y1", "pfi_y2", "pfi_y3",
-                     "report_json", "report_md"}
+                     "pfi_y1", "pfi_y2", "pfi_y3", "report_json",
+                     "report_md"}
     assert expected_keys <= set(manifest.artifacts)
     for rel in manifest.artifacts.values():
         assert (outdir / rel).exists(), rel
@@ -403,6 +446,25 @@ def test_load_run_config_round_trip(smoke_run):
 def _file_map(outdir: Path) -> dict:
     return {str(p.relative_to(outdir)): p
             for p in Path(outdir).rglob("*") if p.is_file()}
+
+
+def test_smoke_run_writes_exactly_its_artifacts(smoke_run):
+    config, _, outdir = smoke_run
+    expected = {"config.json", "manifest.json", "report.json", "report.md",
+                "fpca/fpca.json", "fpca/mean.csv", "fpca/eigenfunctions.csv",
+                "tables/variance_explained.csv", "tables/metrics.json"}
+    for name in ("dataset",) + pipeline.SPLIT_NAMES:
+        expected |= {f"data/{name}.csv", f"data/{name}.json"}
+    expected |= {f"scores/{name}.csv" for name in pipeline.SPLIT_NAMES}
+    for t in pipeline.TARGETS:
+        n_layers = len(config.mlp_configs[t].hidden_sizes) + 1
+        expected |= {f"models/{t}/mlp.json"} | {
+            f"models/{t}/layer_{i}.csv" for i in range(n_layers)}
+        expected |= {f"pfi/{t}_pfi.csv", f"pfi/{t}_pfi.json"}
+    for entry in config.figures:
+        name = pipeline._figure_name(entry)
+        expected |= {f"figures/{name}.svg", f"figures/{name}.csv"}
+    assert set(_file_map(outdir)) == expected
 
 
 def test_rerun_reproduces_every_artifact(smoke_run, tmp_path):

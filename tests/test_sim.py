@@ -5,9 +5,9 @@ import pytest
 
 from fdexplain.errors import NonFiniteError
 from fdexplain.seeding import stage_seed, substream
-from fdexplain.sim import (INTENSITY_FLOOR, Dataset, Labels, LabelSet,
-                           SimParams, TimeGrid, class_conditional_means,
-                           default_grid, generate_dataset, sample_labels)
+from fdexplain.sim import (INTENSITY_FLOOR, Dataset, LabelSet, SimParams,
+                           TimeGrid, class_conditional_means, default_grid,
+                           generate_dataset, sample_labels)
 
 import helpers
 import oracles
@@ -16,10 +16,10 @@ NOISELESS = SimParams().noiseless()
 SMALL_GRID = default_grid(200)
 
 
-def _one(labels: Labels, params: SimParams = NOISELESS,
+def _one(y1: int, y2: int, y3: float, params: SimParams = NOISELESS,
          grid: TimeGrid = SMALL_GRID) -> np.ndarray:
-    return oracles.generate_signature_ref(labels, params, grid,
-                                         np.random.default_rng(0))
+    return oracles.generate_signature_ref(y1, y2, y3, params, grid,
+                                          np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +42,6 @@ def test_grid_rejects_bad_points():
         TimeGrid(np.array([0.0, -1.0, -2.0]))  # decreasing
     with pytest.raises(ValueError):
         TimeGrid(np.array([1.0]))  # too short
-
-
-def test_labels_validation():
-    with pytest.raises(ValueError):
-        Labels(2, 0, 0.5)
-    with pytest.raises(ValueError):
-        Labels(0, 0, 1.5)
-    with pytest.raises(ValueError):
-        Labels(0, 0, -0.1)
 
 
 def test_sim_params_validation():
@@ -104,7 +95,7 @@ def test_sample_labels_marginals():
 def test_sample_labels_single():
     labels = sample_labels(1, seed=0)
     assert 0.0 <= labels.y3[0] <= 1.0
-    assert labels[0].y1 in (0, 1)
+    assert labels.y1[0] in (0, 1)
 
 
 def test_sample_labels_rejects_empty():
@@ -117,30 +108,29 @@ def test_sample_labels_rejects_empty():
 # ---------------------------------------------------------------------------
 
 def test_noiseless_generator_is_pure():
-    labels = Labels(1, 0, 0.3)
-    a = oracles.generate_signature_ref(labels, NOISELESS, SMALL_GRID,
+    a = oracles.generate_signature_ref(1, 0, 0.3, NOISELESS, SMALL_GRID,
                                        np.random.default_rng(1))
-    b = oracles.generate_signature_ref(labels, NOISELESS, SMALL_GRID,
+    b = oracles.generate_signature_ref(1, 0, 0.3, NOISELESS, SMALL_GRID,
                                        np.random.default_rng(2))
     assert np.array_equal(a, b)
 
 
 def test_y1_toggles_peak_count():
-    three = _one(Labels(0, 0, 0.5))
-    four = _one(Labels(1, 0, 0.5))
+    three = _one(0, 0, 0.5)
+    four = _one(1, 0, 0.5)
     assert oracles.count_local_maxima(three) == 3
     assert oracles.count_local_maxima(four) == 4
 
 
 def test_y1_shifts_first_peak_earlier():
-    base = oracles.local_maxima_positions(SMALL_GRID.points, _one(Labels(0, 0, 0.5)))
-    shifted = oracles.local_maxima_positions(SMALL_GRID.points, _one(Labels(1, 0, 0.5)))
+    base = oracles.local_maxima_positions(SMALL_GRID.points, _one(0, 0, 0.5))
+    shifted = oracles.local_maxima_positions(SMALL_GRID.points, _one(1, 0, 0.5))
     assert shifted[0] < base[0]
 
 
 def test_y2_constant_pointwise_ratio():
-    off = _one(Labels(0, 0, 0.5))
-    on = _one(Labels(0, 1, 0.5))
+    off = _one(0, 0, 0.5)
+    on = _one(0, 1, 0.5)
     ratio = on / off
     expected = 1.0 + NOISELESS.y2_gain
     assert np.max(np.abs(ratio - expected)) < 1e-12
@@ -149,15 +139,15 @@ def test_y2_constant_pointwise_ratio():
 def test_y3_gain_is_monotone_increasing():
     # isolate the intensity channel by freezing the timing shift
     params = SimParams(y3_timing_span=0.0).noiseless()
-    low = _one(Labels(0, 0, 0.2), params)
-    high = _one(Labels(0, 0, 0.8), params)
+    low = _one(0, 0, 0.2, params)
+    high = _one(0, 0, 0.8, params)
     expected = (1.0 + params.y3_gain * 0.8) / (1.0 + params.y3_gain * 0.2)
     assert np.max(np.abs(high / low - expected)) < 1e-12
 
 
 def test_y3_shifts_every_peak_later():
-    early = _one(Labels(0, 0, 0.15))
-    late = _one(Labels(0, 0, 0.85))
+    early = _one(0, 0, 0.15)
+    late = _one(0, 0, 0.85)
     pos_early = oracles.local_maxima_positions(SMALL_GRID.points, early)
     pos_late = oracles.local_maxima_positions(SMALL_GRID.points, late)
     assert pos_early.size == pos_late.size == 3
@@ -206,8 +196,9 @@ def test_dataset_rows_match_one_signature_reference(count, seed):
     ds = generate_dataset(6, SimParams(), seed=seed, grid=grid)
     signature_seed = stage_seed(seed, "signatures")
     for i in range(ds.n):
-        ref = oracles.generate_signature_ref(ds.labels[i], SimParams(), grid,
-                                             substream(signature_seed, i))
+        ref = oracles.generate_signature_ref(
+            ds.labels.y1[i], ds.labels.y2[i], ds.labels.y3[i], SimParams(),
+            grid, substream(signature_seed, i))
         assert ref.tobytes() == ds.values[i].tobytes()
 
 
@@ -252,8 +243,8 @@ def test_dataset_shape_validation():
 
 def test_group_means_degenerate_group():
     # two identical signatures in one group: mean is the signature, sd 0
-    row = _one(Labels(0, 0, 0.5))
-    other = _one(Labels(1, 0, 0.5))
+    row = _one(0, 0, 0.5)
+    other = _one(1, 0, 0.5)
     ds = helpers.make_dataset(np.vstack([row, row, other]), y1=[0, 0, 1])
     groups = class_conditional_means(ds, "by-y1")
     assert groups[0].name == "y1=0" and groups[0].size == 2
