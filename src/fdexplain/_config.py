@@ -8,16 +8,18 @@ _KINDS = {bool: "a bool", int: "an integer", float: "a number",
           str: "a string", list: "a list", tuple: "a list"}
 
 
-def _check_kind(value, default, where: str) -> None:
-    """Raise a ValueError naming `where` unless `value` has the JSON kind
-    of `default`: an integer also stands for a number, and each item of a
-    list must have the kind of the default's items."""
+def _checked(value, default, where: str):
+    """`value`, or a ValueError naming `where` unless it has the JSON kind
+    of `default`: an integer also stands for a number, and comes back as
+    that float; each item of a list must have the kind of the default's
+    items."""
     want, got = _KINDS.get(type(default)), _KINDS.get(type(value))
     if want not in (None, got) and (want, got) != ("a number", "an integer"):
         raise ValueError(f"{where} must be {want}, got {value!r}")
     if want == "a list" and default:
         for item in value:
-            _check_kind(item, default[0], f"each item of {where}")
+            _checked(item, default[0], f"each item of {where}")
+    return float(value) if (want, got) == ("a number", "an integer") else value
 
 
 def _override(base, changes: dict, record: str):
@@ -26,7 +28,9 @@ def _override(base, changes: dict, record: str):
     `base` is a dataclass record, whose given fields `dataclasses.replace`
     swaps in (so the record's checks run again), or a dict, which is
     copied. A key that `base` lacks, or a value without the JSON kind of
-    the one it replaces, is an error naming `record` and the key.
+    the one it replaces, is an error naming `record` and the key. An
+    integer given for a float becomes that float, so that configs of one
+    run serialize and digest alike.
     """
     if not isinstance(changes, dict):
         raise ValueError(f"{record} must be a JSON object")
@@ -35,7 +39,7 @@ def _override(base, changes: dict, record: str):
         base if is_dict else (f.name for f in fields(base))))
     if unknown:
         raise ValueError(f"unknown {record} fields: {unknown}")
-    for key, value in changes.items():
-        _check_kind(value, base[key] if is_dict else getattr(base, key),
-                    f"{record}.{key}")
+    changes = {key: _checked(value, base[key] if is_dict else getattr(base, key),
+                             f"{record}.{key}")
+               for key, value in changes.items()}
     return {**base, **changes} if is_dict else replace(base, **changes)

@@ -120,41 +120,37 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled(scores: np.ndarray, mean: np.ndarray,
+            scale: np.ndarray) -> np.ndarray:
+    """`(scores - mean) / scale`, C-contiguous: a network's input."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    if scores.shape[1] != mean.size:
+        raise ValueError(f"expected {mean.size} features, "
+                         f"got {scores.shape[1]}")
+    # (x - +0.0) / 1.0 is x bit for bit, -0.0 included; a -0.0 mean
+    # would turn -0.0 into +0.0, so only an all-+0.0 mean is skipped
+    if not (np.count_nonzero(mean) or np.count_nonzero(np.signbit(mean))
+            or np.count_nonzero(scale != 1.0)):
+        return np.ascontiguousarray(scores)
+    return np.ascontiguousarray((scores - mean) / scale)
+
+
+@dataclass(eq=False)
 class Mlp:
     """Trained network: flat parameters plus standardization state."""
 
-    def __init__(self, config: MlpConfig, sizes: np.ndarray, params: np.ndarray,
-                 feature_mean: np.ndarray, feature_scale: np.ndarray,
-                 passthrough: np.ndarray, log: TrainingLog):
-        self.config = config
-        self.sizes = sizes
-        self.params = params
-        self.feature_mean = feature_mean
-        self.feature_scale = feature_scale
-        self.passthrough = passthrough
-        self.log = log
-
-    @property
-    def n_features(self) -> int:
-        return int(self.sizes[0])
-
-    def _standardized(self, scores: np.ndarray) -> np.ndarray:
-        scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-        if scores.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, "
-                             f"got {scores.shape[1]}")
-        mean, scale = self.feature_mean, self.feature_scale
-        # (x - +0.0) / 1.0 is x bit for bit, -0.0 included; a -0.0 mean
-        # would turn -0.0 into +0.0, so only an all-+0.0 mean is skipped
-        if not (np.count_nonzero(mean) or np.count_nonzero(np.signbit(mean))
-                or np.count_nonzero(scale != 1.0)):
-            return np.ascontiguousarray(scores)
-        return np.ascontiguousarray((scores - mean) / scale)
+    config: MlpConfig
+    sizes: np.ndarray
+    params: np.ndarray
+    feature_mean: np.ndarray
+    feature_scale: np.ndarray
+    passthrough: np.ndarray
+    log: TrainingLog
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         """Class probabilities (classification) or real predictions (regression)."""
-        z = kernels.mlp_forward(self.params, self.sizes,
-                                self._standardized(scores))
+        z = kernels.mlp_forward(self.params, self.sizes, _scaled(
+            scores, self.feature_mean, self.feature_scale))
         if self.config.task == "classification":
             return _stable_sigmoid(z)
         return z
@@ -209,7 +205,7 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
         raise ValueError(f"{n} score rows but {targets.size} targets")
 
     mean, scale, passthrough = _standardization(scores, config.standardize)
-    X = (scores - mean) / scale
+    X = _scaled(scores, mean, scale)
 
     rng = np.random.default_rng(config.seed)
     n_val = int(round(config.val_fraction * n))
@@ -280,7 +276,7 @@ def gradient_check(config: MlpConfig, scores: np.ndarray, targets: np.ndarray,
                          f"{_CHECK_MAX_SAMPLES}x{_CHECK_MAX_FEATURES}, "
                          f"got {n}x{n_feat}")
     mean, scale, _ = _standardization(scores, config.standardize)
-    X = np.ascontiguousarray((scores - mean) / scale)
+    X = _scaled(scores, mean, scale)
 
     sizes = layer_sizes(n_feat, config)
     rng = np.random.default_rng(config.seed)

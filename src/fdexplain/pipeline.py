@@ -31,7 +31,7 @@ from .dataio import (_write_lines, read_json, write_dataset, write_json,
 from .errors import PipelineError
 from .kernels import BACKEND
 from .seeding import stage_seed
-from .sim import Dataset, SimParams, default_grid, generate_dataset
+from .sim import GROUPINGS, Dataset, SimParams, default_grid, generate_dataset
 
 SCHEMA_VERSION = 1
 
@@ -55,6 +55,14 @@ DEFAULT_FIGURES = (
 _SECTIONS = {"grid": ("count", "start", "stop"),
              "pfi": ("replications", "split")}
 
+# the expected component roles, check name -> (target, components, k): a
+# check passes when every listed component ranks within the target's top k
+ROLE_CHECKS = {
+    "y1_top2_is_fpc_1_2": ("y1", (1, 2), 2),
+    "y2_top2_contains_fpc_1": ("y2", (1,), 2),
+    "y2_top3_contains_fpc_3": ("y2", (3,), 3),
+    "y3_top1_is_fpc_2": ("y3", (2,), 1),
+}
 NEGLIGIBLE_INDEX = 10
 NEGLIGIBLE_FRACTION = 0.05
 
@@ -92,11 +100,10 @@ class RunConfig:
     outdir: str = "run"
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
         if self.grid_count < 2:
             raise ValueError("grid_count must be >= 2")
         self.ratios = _checked_ratios(self.ratios)
+        split_sizes(self.n, self.ratios)
         if set(self.mlp_configs) != set(TARGETS):
             raise ValueError(f"mlp_configs must cover exactly {TARGETS}")
         for t in TARGETS:
@@ -179,8 +186,6 @@ def split(dataset: Dataset, ratios=DEFAULT_RATIOS,
     Every index lands in exactly one split; rows keep their original
     dataset order within each split.
     """
-    if dataset.n < 3:
-        raise ValueError("need at least 3 signatures to split")
     n_train, n_test, _ = split_sizes(dataset.n, ratios)
     perm = np.random.default_rng(np.random.SeedSequence(seed)).permutation(dataset.n)
     parts = (np.sort(perm[:n_train]),
@@ -248,22 +253,13 @@ def evaluate_models(models: dict, scores: dict, splits: dict) -> dict:
 
 
 def ranking_checks(pfi_reports: dict) -> dict:
-    """Qualitative expectations on the importance rankings.
-
-    The binary-intensity target should be led by components 1 and 2; the
-    gain target should keep component 1 in its top two and component 3 in
-    its top three; the continuous timing target should be led by
-    component 2; and every component beyond index 10 should be negligible
-    (mean importance magnitude under 5% of that target's maximum).
-    """
+    """The component roles of ROLE_CHECKS (a target with fewer than k
+    components fails its check), and every component beyond index 10
+    negligible: mean importance magnitude under 5% of the target's peak."""
     ranks = {t: explain.rank_features(r) for t, r in pfi_reports.items()}
-    checks = {}
-    r1, r2_, r3 = ranks["y1"], ranks["y2"], ranks["y3"]
-    checks["y1_top2_is_fpc_1_2"] = bool(len(r1) >= 2
-                                        and set(r1[:2].tolist()) == {1, 2})
-    checks["y2_top2_contains_fpc_1"] = bool(len(r2_) >= 2 and 1 in r2_[:2])
-    checks["y2_top3_contains_fpc_3"] = bool(len(r2_) >= 3 and 3 in r2_[:3])
-    checks["y3_top1_is_fpc_2"] = bool(len(r3) >= 1 and r3[0] == 2)
+    checks = {name: bool(len(ranks[t]) >= k
+                         and set(components) <= set(ranks[t][:k].tolist()))
+              for name, (t, components, k) in ROLE_CHECKS.items()}
     tail_ok = True
     for report in pfi_reports.values():
         means = report.mean_importance
@@ -284,6 +280,24 @@ def _figure_name(entry: str) -> str:
             .replace("-", "_"))
 
 
+def _parse_figure(entry: str) -> tuple[str, object]:
+    """Head and argument of a figure-list entry (see `build_figure`): the
+    grouping, the component, or the components and target of a scatter.
+    A malformed entry is a ValueError naming it."""
+    head, _, rest = entry.partition(":")
+    components, _, target = rest.partition(":")
+    if head == "scatter" and target not in TARGETS:
+        raise ValueError(f"unknown scatter target in figure {entry!r}")
+    if head == "heatmap" or (head == "groups" and rest in GROUPINGS):
+        return head, rest
+    if head in ("eigenfunction", "mean-pm", "bundles") and rest.isdecimal():
+        return head, int(rest)
+    components = components.split(",")
+    if head == "scatter" and all(c.isdecimal() for c in components):
+        return head, ([int(c) for c in components], target)
+    raise ValueError(f"unknown figure entry {entry!r}")
+
+
 def build_figure(entry: str, config: RunConfig, dataset: Dataset,
                  train_ds: Dataset, model, eval_scores: np.ndarray,
                  eval_labels) -> viz.PlotSpec:
@@ -293,27 +307,21 @@ def build_figure(entry: str, config: RunConfig, dataset: Dataset,
     `mean-pm:<j>`, `bundles:<j>`, `scatter:<a>,<b>:<target>` (binary
     target) or `scatter:<a>:<target>` (continuous target).
     """
-    head, _, rest = entry.partition(":")
+    head, arg = _parse_figure(entry)
     if head == "heatmap":
         return viz.correlation_heatmap(dataset, config.heatmap_stride)
     if head == "groups":
-        return viz.group_means_plot(dataset, rest)
+        return viz.group_means_plot(dataset, arg)
     if head == "eigenfunction":
-        return viz.eigenfunction_plot(model, int(rest))
+        return viz.eigenfunction_plot(model, arg)
     if head == "mean-pm":
-        return viz.mean_pm_eigenfunction(model, int(rest))
+        return viz.mean_pm_eigenfunction(model, arg)
     if head == "bundles":
-        return viz.extreme_score_bundles(model, train_ds, int(rest),
+        return viz.extreme_score_bundles(model, train_ds, arg,
                                          config.bundle_size)
-    if head == "scatter":
-        comps_part, _, target = rest.partition(":")
-        if target not in TARGETS:
-            raise ValueError(f"unknown scatter target in figure {entry!r}")
-        comps = [int(c) for c in comps_part.split(",")]
-        targets = _target_vector(eval_labels, target)
-        return viz.score_scatter(eval_scores, targets, comps,
-                                 target_name=target)
-    raise ValueError(f"unknown figure entry {entry!r}")
+    components, target = arg
+    return viz.score_scatter(eval_scores, _target_vector(eval_labels, target),
+                             components, target_name=target)
 
 
 def emit_figures(config: RunConfig, outdir: Path, dataset: Dataset,
@@ -477,6 +485,9 @@ def compute_pfi(model: mlp.Mlp, scores: np.ndarray, labels, target: str,
     """Permutation importance of the `target` network on `scores`, under
     the loss of the network's task, saved as
     `<outdir>/<target>_pfi.{csv,json}`."""
+    if model.config.task != TARGET_TASK[target]:
+        raise ValueError(f"{target} needs a {TARGET_TASK[target]} network, "
+                         f"got a {model.config.task} network")
     report = explain.permutation_importance(
         model.predict, scores, _target_vector(labels, target),
         "zero_one" if model.config.task == "classification" else "squared",
@@ -492,6 +503,10 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     artifacts completed so far, then raises PipelineError naming the
     stage.
     """
+    # refuse a figure list the run cannot finish before writing anything
+    if "bundles" in [_parse_figure(entry)[0] for entry in config.figures]:
+        viz._check_bundle_size(split_sizes(config.n, config.ratios)[0],
+                               config.bundle_size)
     outdir = Path(config.outdir)
     write_json(outdir / "config.json", config.to_dict())
     run = RunManifest(schema_version=SCHEMA_VERSION, tool_version=__version__,

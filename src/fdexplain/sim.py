@@ -168,49 +168,29 @@ def sample_labels(n: int, seed: int) -> LabelSet:
                     y3=u[:, 2].copy())
 
 
-def _signature_rows(y1: int, y2: int, y3: float, params: SimParams,
-                    rng: np.random.Generator):
-    """Peak layout of the signature with labels `y1, y2, y3`. Draws, in
-    this fixed order, 4 amp, 4 center and 4 width jitter normals from
-    `rng`."""
-    z = rng.standard_normal(3 * N_BASE_PEAKS)
-    amps = np.asarray(params.peak_amplitudes) * np.exp(params.amp_jitter_sd * z[0:4])
-    centers = (np.asarray(params.peak_centers) + params.center_jitter_sd * z[4:8]
-               + params.y3_timing_span * (y3 - 0.5))
-    if y1 == 1:
-        centers[0] += params.y1_first_peak_shift
-    widths = np.asarray(params.peak_widths) * np.exp(params.width_jitter_sd * z[8:12])
-    n_peaks = N_BASE_PEAKS if y1 == 1 else N_BASE_PEAKS - 1
-    gain = (1.0 + params.y2_gain * y2) * (1.0 + params.y3_gain * y3)
-    boost = params.y1_boost_gain if y1 == 1 else 0.0
-    return amps, centers, widths, n_peaks, gain, boost
-
-
 def generate_dataset(n: int, params: SimParams, seed: int,
                      grid: TimeGrid | None = None) -> Dataset:
     """Generate n signatures with labels; fully determined by (n, params, seed, grid)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if grid is None:
         grid = default_grid()
-    label_seed = stage_seed(seed, "labels")
+    labels = sample_labels(n, stage_seed(seed, "labels"))
     signature_seed = stage_seed(seed, "signatures")
-    labels = sample_labels(n, label_seed)
-
-    amps = np.empty((n, N_BASE_PEAKS))
-    centers = np.empty((n, N_BASE_PEAKS))
-    widths = np.empty((n, N_BASE_PEAKS))
-    n_peaks = np.empty(n, dtype=np.int64)
-    gains = np.empty(n)
-    boosts = np.empty(n)
+    z = np.empty((n, 3 * N_BASE_PEAKS))
     noise = np.empty((n, grid.count))
-    rows = zip(labels.y1.tolist(), labels.y2.tolist(), labels.y3.tolist())
-    for i, (y1, y2, y3) in enumerate(rows):
+    for i in range(n):  # 4 amp, 4 center, 4 width jitters, then noise
         rng_i = substream(signature_seed, i)
-        amps[i], centers[i], widths[i], n_peaks[i], gains[i], boosts[i] = \
-            _signature_rows(y1, y2, y3, params, rng_i)
+        z[i] = rng_i.standard_normal(3 * N_BASE_PEAKS)
         noise[i] = rng_i.standard_normal(grid.count)
 
+    y1, y2, y3 = labels.y1 == 1, labels.y2, labels.y3
+    amps = np.asarray(params.peak_amplitudes) * np.exp(params.amp_jitter_sd * z[:, 0:4])
+    centers = (np.asarray(params.peak_centers) + params.center_jitter_sd * z[:, 4:8]
+               + params.y3_timing_span * (y3 - 0.5)[:, None])
+    centers[y1, 0] += params.y1_first_peak_shift
+    widths = np.asarray(params.peak_widths) * np.exp(params.width_jitter_sd * z[:, 8:12])
+    n_peaks = np.where(y1, N_BASE_PEAKS, N_BASE_PEAKS - 1)
+    gains = (1.0 + params.y2_gain * y2) * (1.0 + params.y3_gain * y3)
+    boosts = np.where(y1, params.y1_boost_gain, 0.0)
     raw = kernels.curve_batch(grid.points, centers, widths, amps, n_peaks,
                               gains, boosts, BOOST_DECAY_RATE,
                               params.baseline_intensity, params.baseline_decay,

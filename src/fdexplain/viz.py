@@ -429,17 +429,21 @@ def mean_pm_eigenfunction(model: fpca_mod.FpcaModel, j: int,
                             "eigenvalue": lam})
 
 
+def _check_bundle_size(n: int, m: int) -> None:
+    if m < 1:
+        raise ValueError("bundle size must be >= 1")
+    if n < 2 * m:
+        raise ValueError(f"bundles of {m} need at least {2 * m} signatures, "
+                         f"got {n}")
+
+
 def extreme_score_bundles(model: fpca_mod.FpcaModel, dataset: Dataset, j: int,
                           m: int = DEFAULT_BUNDLE_SIZE) -> PlotSpec:
     """Raw signatures with the m highest and m lowest component-j scores,
     plus the pointwise mean of the whole dataset. Signatures are ranked
     by the strict key (score, signature index), so tied scores resolve
     by index and the two bundles are always disjoint."""
-    if m < 1:
-        raise ValueError("bundle size must be >= 1")
-    if dataset.n < 2 * m:
-        raise ValueError(f"need at least {2 * m} signatures, "
-                         f"got {dataset.n}")
+    _check_bundle_size(dataset.n, m)
     scores = fpca_mod.transform(model, dataset)
     if not 1 <= j <= scores.shape[1]:
         raise ValueError(f"component {j} out of range 1..{scores.shape[1]}")

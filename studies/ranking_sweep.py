@@ -43,42 +43,28 @@ N = 2000
 GRID_COUNT = 100
 
 
-def _margin(mean: list, sd: list, reps: int, j: int, rivals, k: int) -> dict:
-    """Margin of component `j` (1-based) over the k-th strongest of the
-    components `rivals`, in the ranking's order."""
-    rival = sorted(rivals, key=lambda i: (-mean[i - 1], i))[k - 1]
-    margin = mean[j - 1] - mean[rival - 1]
-    se = math.sqrt((sd[j - 1] ** 2 + sd[rival - 1] ** 2) / reps)
-    return {"margin": margin, "rival": rival,
-            "se_units": margin / se if se > 0 else None}
-
-
 def check_margins(pfi: dict) -> dict:
     """Sampled margin of every ranking check, from each target's saved
     `<t>_pfi.json` summary (`mean_importance`, `sd_importance`,
-    `replications`)."""
-    def margin(t, j, k, exclude=()):
-        p = pfi[t]
-        mean = list(p["mean_importance"])
-        rivals = [i for i in range(1, len(mean) + 1)
-                  if i != j and i not in exclude]
-        return _margin(mean, list(p["sd_importance"]),
-                       int(p["replications"]), j, rivals, k)
-
-    y1 = pfi["y1"]["mean_importance"]
-    weaker = 2 if (-y1[0], 1) < (-y1[1], 2) else 1
+    `replications`). A role check's margin compares the lowest ranked of
+    its components with the rival that would push it out of the top k."""
+    margins = {}
+    for name, (t, components, k) in pipeline.ROLE_CHECKS.items():
+        mean, sd = pfi[t]["mean_importance"], pfi[t]["sd_importance"]
+        order = sorted(range(1, len(mean) + 1), key=lambda i: (-mean[i - 1], i))
+        j = max(components, key=order.index)
+        rival = [i for i in order if i not in components][k - len(components)]
+        margin = mean[j - 1] - mean[rival - 1]
+        se = math.sqrt((sd[j - 1] ** 2 + sd[rival - 1] ** 2)
+                       / int(pfi[t]["replications"]))
+        margins[name] = {"margin": margin, "rival": rival,
+                         "se_units": margin / se if se > 0 else None}
     tail = min(pipeline.NEGLIGIBLE_FRACTION * max(v)
                - max(map(abs, v[pipeline.NEGLIGIBLE_INDEX:]), default=0.0)
                for v in (p["mean_importance"] for p in pfi.values()))
-    return {
-        # the lower ranked of fpc 1 and 2 against the best of the rest
-        "y1_top2_is_fpc_1_2": margin("y1", weaker, 1, exclude=(1, 2)),
-        "y2_top2_contains_fpc_1": margin("y2", 1, 2),
-        "y2_top3_contains_fpc_3": margin("y2", 3, 3),
-        "y3_top1_is_fpc_2": margin("y3", 2, 1),
-        "tail_importance_negligible": {"margin": tail, "rival": None,
-                                       "se_units": None},
-    }
+    margins["tail_importance_negligible"] = {"margin": tail, "rival": None,
+                                             "se_units": None}
+    return margins
 
 
 def sweep_seed(seed: int, workdir: Path) -> dict:

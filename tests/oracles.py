@@ -20,6 +20,9 @@ generator that `fdexplain.sim.generate_dataset` batches; row i of a
 dataset must equal it bit for bit. `train_ref` is the training loop that
 stopped on any lack of a new lowest validation loss; `fdexplain.mlp.train`
 with `MIN_DELTA` 0 must reproduce its weights and log bit for bit.
+`ranking_checks_ref` is the report's ranking checks with each component
+role written out by hand, as they were before
+`fdexplain.pipeline.ROLE_CHECKS` tabulated them.
 """
 
 import itertools
@@ -27,9 +30,10 @@ import math
 
 import numpy as np
 
-from fdexplain import kernels, mlp, sim
+from fdexplain import explain, kernels, mlp, sim
 from fdexplain.errors import NumericalError
 from fdexplain.kernels import TASK_CLASSIFICATION
+from fdexplain.pipeline import NEGLIGIBLE_FRACTION, NEGLIGIBLE_INDEX
 
 
 def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100,
@@ -326,3 +330,37 @@ def generate_signature_ref(y1, y2, y3, params, grid, rng):
         grid.start)
     noise = rng.standard_normal(grid.count)
     return np.maximum(raw[0] + params.noise_sd * noise, sim.INTENSITY_FLOOR)
+
+
+# ranking checks, one hand-written expression per component role
+
+def ranking_checks_ref(pfi_reports: dict) -> dict:
+    """Qualitative expectations on the importance rankings.
+
+    The binary-intensity target should be led by components 1 and 2; the
+    gain target should keep component 1 in its top two and component 3 in
+    its top three; the continuous timing target should be led by
+    component 2; and every component beyond index 10 should be negligible
+    (mean importance magnitude under 5% of that target's maximum).
+    """
+    ranks = {t: explain.rank_features(r) for t, r in pfi_reports.items()}
+    checks = {}
+    r1, r2_, r3 = ranks["y1"], ranks["y2"], ranks["y3"]
+    checks["y1_top2_is_fpc_1_2"] = bool(len(r1) >= 2
+                                        and set(r1[:2].tolist()) == {1, 2})
+    checks["y2_top2_contains_fpc_1"] = bool(len(r2_) >= 2 and 1 in r2_[:2])
+    checks["y2_top3_contains_fpc_3"] = bool(len(r2_) >= 3 and 3 in r2_[:3])
+    checks["y3_top1_is_fpc_2"] = bool(len(r3) >= 1 and r3[0] == 2)
+    tail_ok = True
+    for report in pfi_reports.values():
+        means = report.mean_importance
+        peak = float(means.max())
+        if peak <= 0:
+            tail_ok = False
+            break
+        tail = np.abs(means[NEGLIGIBLE_INDEX:])
+        if tail.size and float(tail.max()) >= NEGLIGIBLE_FRACTION * peak:
+            tail_ok = False
+            break
+    checks["tail_importance_negligible"] = tail_ok
+    return checks

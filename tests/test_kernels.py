@@ -74,8 +74,7 @@ def test_curve_single_peak_closed_form():
 # network kernels: bit for bit against the reference route
 # ---------------------------------------------------------------------------
 
-TASKS = {"classification": kernels.TASK_CLASSIFICATION,
-         "regression": kernels.TASK_REGRESSION}
+TASKS = (kernels.TASK_CLASSIFICATION, kernels.TASK_REGRESSION)
 WIDTHS = (1, 100, 1000)
 HIDDEN = ((8,), (50, 40, 30))
 N_ROWS = 70
@@ -116,7 +115,7 @@ def test_mlp_forward_matches_reference(n, width, hidden):
 @pytest.mark.parametrize("hidden", HIDDEN)
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("n", (1, 7, 64))
-@pytest.mark.parametrize("task", TASKS.values(), ids=TASKS.keys())
+@pytest.mark.parametrize("task", TASKS)
 def test_mlp_loss_grad_matches_reference(task, n, width, hidden):
     sizes, params, X, y = _network(task, width, hidden, n)
     X_before, y_before = X.copy(), y.copy()
@@ -132,7 +131,7 @@ def test_mlp_loss_grad_matches_reference(task, n, width, hidden):
 @pytest.mark.parametrize("hidden", HIDDEN)
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("batch_size", (1, 7, 64, N_ROWS + 5))
-@pytest.mark.parametrize("task", TASKS.values(), ids=TASKS.keys())
+@pytest.mark.parametrize("task", TASKS)
 def test_adam_epoch_matches_reference(task, batch_size, width, hidden):
     sizes, params, X, y = _network(task, width, hidden)
     X_before, y_before = X.copy(), y.copy()

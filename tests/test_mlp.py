@@ -366,13 +366,15 @@ def test_standardization_identity_only_when_bitwise_exact(mean, scale,
     X = rng.normal(size=(12, 3))
     X[::3, 1] = -0.0
     expected = _standardizing_formula(model, X)
-    assert model._standardized(X).tobytes() == expected.tobytes()
+    assert mlp._scaled(X, model.feature_mean,
+                       model.feature_scale).tobytes() == expected.tobytes()
     assert (expected.tobytes() == X.tobytes()) == identity
     assert model.predict(X).tobytes() == mlp._stable_sigmoid(
         kernels.mlp_forward(model.params, sizes, expected)).tobytes()
     # the kernel always gets a C-contiguous input, as the formula gives it
     strided = np.repeat(X, 2, axis=1)[:, ::2]
-    assert model._standardized(strided).flags.c_contiguous
+    assert mlp._scaled(strided, model.feature_mean,
+                       model.feature_scale).flags.c_contiguous
 
 
 def test_constant_feature_passthrough_flagged():

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from fdexplain import cli, explain, metrics, mlp, pipeline
 from fdexplain._version import __version__
-from fdexplain.dataio import read_dataset, read_json, read_scores
+from fdexplain.dataio import (read_dataset, read_json, read_scores,
+                              write_json, write_scores)
 from fdexplain.errors import PipelineError
 from fdexplain.sim import SimParams
 
 from helpers import make_dataset
+from oracles import ranking_checks_ref
 
 STAGES = ("simulate", "split", "fpca", "transform", "train", "metrics",
           "pfi", "report", "figures")
@@ -110,7 +112,7 @@ def test_split_deterministic_and_seed_sensitive():
 
 def test_split_too_small():
     ds = make_dataset(np.ones((2, 4)))
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(ValueError, match="empty split"):
         pipeline.split(ds)
 
 
@@ -119,7 +121,7 @@ def test_split_too_small():
 # ---------------------------------------------------------------------------
 
 def test_runconfig_validation():
-    with pytest.raises(ValueError, match="n must be >= 3"):
+    with pytest.raises(ValueError, match="empty split"):
         pipeline.RunConfig(n=2)
     with pytest.raises(ValueError, match="grid_count"):
         pipeline.RunConfig(grid_count=1)
@@ -136,6 +138,40 @@ def test_runconfig_validation():
         pipeline.RunConfig(pfi_replications=0)
     with pytest.raises(ValueError, match="pfi_split"):
         pipeline.RunConfig(pfi_split="dev")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_run_refuses_an_empty_split_before_writing(n, tmp_path, capsys):
+    with pytest.raises(ValueError, match="empty split"):
+        pipeline.RunConfig(n=n)
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "--n", str(n), "--grid-count", "20",
+                     "--outdir", str(outdir)]) == 1
+    assert "empty split" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
+    config = pipeline.RunConfig.from_dict({"grid": {"start": -4},
+                                           "mlp": {"y1": {"learning_rate": 1}}})
+    assert type(config.grid_start) is float
+    assert type(config.mlp_configs["y1"].learning_rate) is float
+    same = pipeline.RunConfig.from_dict({"grid": {"start": -4}})
+    assert pipeline.config_digest(same) == pipeline.config_digest(
+        pipeline.RunConfig())
+    write_json(tmp_path / "config.json", same.to_dict())
+    assert '"start": -4.0' in (tmp_path / "config.json").read_text()
+
+
+def test_run_refuses_an_integer_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"n": 50, "figures": [], "grid": {"start": 1'
+                    + "0" * 400 + "}}")
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path),
+                     "--outdir", str(outdir)]) == 1
+    assert "too large" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_runconfig_round_trip_and_digest():
@@ -228,7 +264,7 @@ def _networks():
 
 _run_configs = st.builds(
     pipeline.RunConfig,
-    n=st.integers(3, 10**6), grid_count=st.integers(2, 10**5),
+    n=st.integers(20, 10**6), grid_count=st.integers(2, 10**5),
     grid_start=_finite, grid_stop=_finite,
     sim=st.builds(SimParams, **{
         f.name: (st.tuples(*[_positive] * 4) if f.name in _PEAK_FIELDS
@@ -302,6 +338,17 @@ def test_ranking_checks_detect_each_failure():
     assert not bad_y3["y3_top1_is_fpc_2"]
 
 
+_means = st.lists(st.one_of(st.sampled_from([-0.1, 0.0, 0.02, 0.3]),
+                            st.floats(-1.0, 1.0)), min_size=1, max_size=15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({t: _means for t in pipeline.TARGETS}))
+def test_ranking_checks_match_the_hand_written_roles(means):
+    reports = {t: _pfi(v) for t, v in means.items()}
+    assert pipeline.ranking_checks(reports) == ranking_checks_ref(reports)
+
+
 def test_ranking_checks_tail_rules():
     # positive tail above 5% of the peak
     loud = list(GOOD_Y1)
@@ -360,6 +407,27 @@ def test_build_figure_rejects_unknown_entries():
     with pytest.raises(ValueError, match="unknown scatter target"):
         pipeline.build_figure("scatter:1:bogus", config, None, None, None,
                               None, None)
+
+
+@pytest.mark.parametrize("figures, message", [
+    (["bogus"], "unknown figure entry 'bogus'"),
+    (["eigenfunction:x"], "unknown figure entry 'eigenfunction:x'"),
+    (["groups:by-y4"], "unknown figure entry 'groups:by-y4'"),
+    (["scatter:1,b:y1"], "unknown figure entry 'scatter:1,b:y1'"),
+    (["heatmap", "scatter:1:y9"], "unknown scatter target"),
+    (["bundles:1"], "need at least 100 signatures, got 72"),
+    (list(pipeline.DEFAULT_FIGURES), "need at least 100 signatures, got 72"),
+])
+def test_run_refuses_figures_it_cannot_finish_before_writing(
+        figures, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 100, "grid": {"count": 50},
+                                "figures": figures}))
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path),
+                     "--outdir", str(outdir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +561,7 @@ def test_failed_stage_is_named_and_recorded(tmp_path):
         n=10, grid_count=20, sim=SimParams(noise_sd=float("inf")),
         mlp_configs={t: _small_mlp(pipeline.TARGET_TASK[t])
                      for t in pipeline.TARGETS},
-        outdir=str(tmp_path / "broken"))
+        figures=(), outdir=str(tmp_path / "broken"))
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(PipelineError, match="simulate") as info:
             pipeline.run_pipeline(config)
@@ -653,6 +721,21 @@ def test_cli_run_with_config_json(tmp_path):
     assert manifest["config"]["grid"]["count"] == 30
     assert manifest["config"]["pfi"]["replications"] == 3
     assert (rundir / "report.md").exists()
+
+
+def test_cli_pfi_refuses_a_network_of_another_task(tmp_path, capsys):
+    mlp.save_mlp(_zero_mlp("classification"), tmp_path / "y1")
+    ds = make_dataset(np.ones((6, 4)), y1=[0, 1] * 3, y3=np.linspace(0, 1, 6))
+    write_scores(tmp_path / "scores.csv",
+                 np.random.default_rng(3).normal(size=(6, 2)), ds.labels)
+    args = ["pfi", "--model", str(tmp_path / "y1"),
+            "--scores", str(tmp_path / "scores.csv"), "--replications", "2",
+            "--outdir", str(tmp_path / "pfi")]
+    assert cli.main(args + ["--target", "y3"]) == 1
+    err = capsys.readouterr().err
+    assert "y3" in err and "regression" in err and "classification" in err
+    assert not (tmp_path / "pfi" / "y3_pfi.json").exists()
+    assert cli.main(args + ["--target", "y1"]) == 0
 
 
 def test_cli_missing_artifact_reports_and_fails(tmp_path, capsys):
