@@ -7,6 +7,14 @@ labels, the regressor with squared error. Values can be negative and are
 reported as computed. Each (feature, replication) pair draws its shuffle
 from its own child generator, so importances do not depend on evaluation
 order and any single pair can be reproduced in isolation.
+
+A feature's replications are evaluated as one (replications, n) block of
+predictions, scored row by row. A trained network with hidden layers is
+evaluated by updating only its first layer (`_network_rows`): one
+first-layer product per network, one forward pass of the layers above it
+per shuffle. Any other model is called once per shuffle on a copy of the
+features. Zero-one importances are the same on both paths bit for bit;
+squared-error importances can differ in their last bits.
 """
 
 from dataclasses import dataclass
@@ -14,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels, mlp
 from .dataio import FORMAT_VERSION, read_json, read_table_csv, write_json, write_table_csv
 from .seeding import substream
 
@@ -35,11 +44,12 @@ def _squared(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
 _LOSS_FUNCS = {"zero_one": _zero_one, "squared": _squared}
 
 
-def _mean_loss(loss_fn, predicted, actual) -> float:
-    """np.mean of the per-observation losses, bit for bit, without its
-    Python-level wrapper."""
-    losses = loss_fn(np.asarray(predicted, dtype=np.float64), actual)
-    return float(np.add.reduce(losses, axis=None) / losses.size)
+def _mean_losses(loss_fn, predicted, actual) -> np.ndarray:
+    """Mean loss of each row of a (k, n) block of predictions. Row i is
+    np.mean(loss_fn(predicted[i], actual)) bit for bit: the same pairwise
+    sum over a contiguous row, without np.mean's Python-level wrapper."""
+    losses = loss_fn(predicted, actual)
+    return np.add.reduce(losses, axis=1) / losses.shape[1]
 
 
 @dataclass
@@ -71,15 +81,69 @@ class PfiReport:
         return self.importances.shape[0]
 
 
-def permutation_importance(predict, X: np.ndarray, y: np.ndarray, loss: str,
+def _predictor_rows(predict, X):
+    """Baseline predictions as a (1, n) row, and a function giving the
+    (len(perms), n) predictions with column j shuffled by each of `perms`:
+    `predict` called on a copy of X with that one column permuted."""
+    baseline = np.empty((1, X.shape[0]))
+    baseline[0] = predict(X)
+    work = X.copy()
+
+    def rows(j, perms):
+        out = np.empty(perms.shape)
+        for r, perm in enumerate(perms):
+            work[:, j] = X[perm, j]
+            out[r] = predict(work)
+        work[:, j] = X[:, j]
+        return out
+    return baseline, rows
+
+
+def _network_rows(net, X):
+    """`_predictor_rows` for a network with hidden layers, recomputing
+    only what a shuffle changes.
+
+    Permuting input j adds a rank-1 term to the first layer's
+    pre-activations Z = X_s W1 + b1 (X_s the scaled input):
+    (X_s[perm, j] - X_s[:, j]) outer W1[j]. So Z is computed once, the
+    hidden activations of all of a feature's shuffles come from one array
+    operation, and only the network above the first layer runs again, one
+    `mlp_forward` per shuffle. A block holds len(perms) * n * W1.shape[1]
+    values. The sum runs in another order than the full product, so
+    real-valued predictions can move in their last bits.
+    """
+    X_s = mlp._scaled(X, net.feature_mean, net.feature_scale)
+    baseline = net._head(kernels.mlp_forward(net.params, net.sizes, X_s))
+    W1, b1, tail, tail_sizes = kernels._split_first(net.params, net.sizes)
+    Z = np.dot(X_s, W1)
+    Z += b1
+
+    def rows(j, perms):
+        col = X_s[:, j]
+        shift = col[perms]
+        shift -= col
+        hidden = shift[:, :, None] * W1[j]
+        hidden += Z
+        np.maximum(hidden, 0.0, out=hidden)
+        out = np.empty(perms.shape)
+        for r in range(perms.shape[0]):
+            out[r] = kernels.mlp_forward(tail, tail_sizes, hidden[r])
+        return net._head(out)
+    return baseline[None, :], rows
+
+
+def permutation_importance(model, X: np.ndarray, y: np.ndarray, loss: str,
                            replications: int = DEFAULT_REPLICATIONS,
                            seed: int = 0) -> PfiReport:
     """Measure feature importances of a fitted predictor.
 
     Parameters
     ----------
-    predict : callable mapping an (n, r) feature array to length-n
-        predictions (probabilities for zero-one loss, reals for squared).
+    model : a trained `mlp.Mlp`, or a callable mapping an (n, r) feature
+        array to length-n predictions (probabilities for zero-one loss,
+        reals for squared). A network with hidden layers takes the fast
+        path of `_network_rows`; any other model is called on a shuffled
+        copy of X once per shuffle.
     X : (n, r) feature array; left unmodified.
     y : length-n actual targets.
     loss : "zero_one" or "squared".
@@ -99,17 +163,18 @@ def permutation_importance(predict, X: np.ndarray, y: np.ndarray, loss: str,
         raise ValueError("need at least 2 observations to permute")
     loss_fn = _LOSS_FUNCS[loss]
 
-    baseline = _mean_loss(loss_fn, predict(X), y)
-    work = X.copy()
+    if isinstance(model, mlp.Mlp) and model.sizes.size > 2:
+        baseline, rows = _network_rows(model, X)
+    else:
+        baseline, rows = _predictor_rows(
+            model.predict if isinstance(model, mlp.Mlp) else model, X)
+    baseline_loss = float(_mean_losses(loss_fn, baseline, y)[0])
     importances = np.empty((n_feat, replications))
     for j in range(n_feat):
-        saved = work[:, j].copy()
-        for rep in range(replications):
-            rng = substream(seed, j, rep)
-            work[:, j] = saved[rng.permutation(n)]
-            permuted = _mean_loss(loss_fn, predict(work), y)
-            importances[j, rep] = permuted - baseline
-        work[:, j] = saved
+        perms = np.array([substream(seed, j, rep).permutation(n)
+                          for rep in range(replications)])
+        np.subtract(_mean_losses(loss_fn, rows(j, perms), y), baseline_loss,
+                    out=importances[j])
 
     if replications > 1:
         sd = importances.std(axis=1, ddof=1)
@@ -118,7 +183,7 @@ def permutation_importance(predict, X: np.ndarray, y: np.ndarray, loss: str,
     return PfiReport(importances=importances,
                      mean_importance=importances.mean(axis=1),
                      sd_importance=sd,
-                     baseline_loss=baseline,
+                     baseline_loss=baseline_loss,
                      loss=loss,
                      replications=replications,
                      seed=seed,

@@ -12,8 +12,10 @@ Everything here is pure: no RNG, no I/O, no global state. Random draws
 
 `_layer_views` is the one owner of the parameter packing: every module
 that reads, writes or initializes a flat parameter vector goes through
-its (W, b) views. `_mean_loss` is the one definition of the training
-loss, shared by the gradient kernel and the per-epoch validation loss.
+its (W, b) views, or through `_split_first`, which splits a network
+into its first layer and the network above it. `_mean_loss` is the one
+definition of the training loss, shared by the gradient kernel and the
+per-epoch validation loss.
 
 The network kernels work in place on views of the flat vectors and on a
 few scratch arrays, but run the same floating-point operations in the
@@ -68,6 +70,14 @@ def _layer_views(flat, sizes):
                       flat[end:end + fan_out]))
         off = end + fan_out
     return views
+
+
+def _split_first(params, sizes):
+    """(W1, b1) views of the first layer, and the (params, sizes) of the
+    network above it: its hidden layers onward, packed as a network of
+    their own, as a view of `params`."""
+    W, b = _layer_views(params, sizes)[0]
+    return W, b, params[W.size + b.size:], sizes[1:]
 
 
 def _forward(layers, X):

@@ -149,8 +149,12 @@ class Mlp:
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         """Class probabilities (classification) or real predictions (regression)."""
-        z = kernels.mlp_forward(self.params, self.sizes, _scaled(
-            scores, self.feature_mean, self.feature_scale))
+        return self._head(kernels.mlp_forward(self.params, self.sizes, _scaled(
+            scores, self.feature_mean, self.feature_scale)))
+
+    def _head(self, z: np.ndarray) -> np.ndarray:
+        """Raw network outputs (any shape) mapped to the predictions of
+        `predict`, element by element."""
         if self.config.task == "classification":
             return _stable_sigmoid(z)
         return z
@@ -333,6 +337,12 @@ def load_mlp(outdir: Path) -> Mlp:
                   "log", exact=True)
     config = MlpConfig.from_dict(meta["config"])
     sizes = np.asarray(meta["sizes"], dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size < 2:
+        raise ValueError(f"{path}: sizes must list at least 2 layer widths")
+    for key in ("feature_mean", "feature_scale", "passthrough"):
+        if len(meta[key]) != sizes[0]:
+            raise ValueError(f"{path}: {key} has {len(meta[key])} entries, "
+                             f"expected {sizes[0]}, one per input")
     params = np.empty(n_params(sizes))
     for layer, (W, b) in enumerate(kernels._layer_views(params, sizes)):
         _, tab = read_table_csv(outdir / f"layer_{layer}.csv")

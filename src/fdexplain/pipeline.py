@@ -489,7 +489,7 @@ def compute_pfi(model: mlp.Mlp, scores: np.ndarray, labels, target: str,
         raise ValueError(f"{target} needs a {TARGET_TASK[target]} network, "
                          f"got a {model.config.task} network")
     report = explain.permutation_importance(
-        model.predict, scores, _target_vector(labels, target),
+        model, scores, _target_vector(labels, target),
         "zero_one" if model.config.task == "classification" else "squared",
         replications, seed)
     explain.save_pfi(report, Path(outdir), target)

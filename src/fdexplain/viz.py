@@ -104,15 +104,18 @@ class _Frame:
         self.pw = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
         self.ph = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def sx(self, x: float) -> float:
+    def sx(self, x):
         return self.px + (x - self.x0) / (self.x1 - self.x0) * self.pw
 
-    def sy(self, y: float) -> float:
+    def sy(self, y):
         return self.py + self.ph - (y - self.y0) / (self.y1 - self.y0) * self.ph
 
     def polyline(self, xs, ys) -> str:
-        return " ".join(f"{self.sx(float(x)):.2f},{self.sy(float(y)):.2f}"
-                        for x, y in zip(xs, ys))
+        """SVG `points` of the mapped (x, y) pairs; `sx` and `sy` map whole
+        arrays by the same float operations as single values."""
+        px = self.sx(np.asarray(xs, dtype=np.float64))
+        py = self.sy(np.asarray(ys, dtype=np.float64))
+        return " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
 
 
 def _axes(out: list, frame: _Frame, title: str, x_label: str, y_label: str):

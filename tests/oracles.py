@@ -22,7 +22,12 @@ stopped on any lack of a new lowest validation loss; `fdexplain.mlp.train`
 with `MIN_DELTA` 0 must reproduce its weights and log bit for bit.
 `ranking_checks_ref` is the report's ranking checks with each component
 role written out by hand, as they were before
-`fdexplain.pipeline.ROLE_CHECKS` tabulated them.
+`fdexplain.pipeline.ROLE_CHECKS` tabulated them. `mean_loss_ref` is the
+one-replication mean loss that `fdexplain.explain` replaced with a
+reduction over a block of replications, and `polyline_ref` the
+point-by-point SVG polyline that `fdexplain.viz._Frame.polyline`
+replaced with array arithmetic; both must be matched bit for bit (byte
+for byte for the polyline).
 """
 
 import itertools
@@ -364,3 +369,18 @@ def ranking_checks_ref(pfi_reports: dict) -> dict:
             break
     checks["tail_importance_negligible"] = tail_ok
     return checks
+
+
+# one-replication mean loss and point-by-point polyline
+
+def mean_loss_ref(loss_fn, predicted, actual) -> float:
+    """np.mean of the per-observation losses of one prediction vector."""
+    losses = loss_fn(np.asarray(predicted, dtype=np.float64), actual)
+    return float(np.add.reduce(losses, axis=None) / losses.size)
+
+
+def polyline_ref(frame, xs, ys) -> str:
+    """SVG `points` of the (x, y) pairs mapped one at a time by the
+    frame's scalar `sx` and `sy`."""
+    return " ".join(f"{frame.sx(float(x)):.2f},{frame.sy(float(y)):.2f}"
+                    for x, y in zip(xs, ys))

@@ -1,10 +1,13 @@
 """Permutation importance contracts: oracle equivalence, zero property,
-immutability, ranking rules."""
+immutability, the network path against calling `predict`, ranking
+rules."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdexplain import explain
+from fdexplain import explain, kernels, mlp
 from fdexplain.seeding import substream
 
 import oracles
@@ -153,6 +156,118 @@ def test_validation_errors():
         explain.permutation_importance(predict, X, y[:-1], "squared")
     with pytest.raises(ValueError, match="observations"):
         explain.permutation_importance(predict, X[:1], y[:1], "squared")
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 12), n=st.integers(1, 2100),
+       loss=st.sampled_from(explain.LOSS_KINDS),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_losses_equal_the_one_replication_mean(k, n, loss, seed):
+    rng = np.random.default_rng(seed)
+    if loss == "zero_one":
+        predicted = rng.random((k, n))
+        actual = (rng.random(n) < 0.5).astype(np.float64)
+    else:
+        predicted = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-6, 7, (k, n))
+        actual = rng.normal(size=n)
+    loss_fn = explain._LOSS_FUNCS[loss]
+    rows = explain._mean_losses(loss_fn, predicted, actual)
+    for i in range(k):
+        ref = oracles.mean_loss_ref(loss_fn, predicted[i], actual)
+        assert rows[i].tobytes() == np.float64(ref).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# networks: the first-layer update against calling predict
+# ---------------------------------------------------------------------------
+
+N_IN = 5
+
+
+def _network(task, hidden, seed, standardize=False):
+    """A network with random weights and biases; a standardizing one gets
+    a random input mean and scale."""
+    rng = np.random.default_rng(seed)
+    config = mlp.MlpConfig(hidden_sizes=hidden, task=task,
+                           standardize=standardize)
+    sizes = mlp.layer_sizes(N_IN, config)
+    params = rng.normal(size=mlp.n_params(sizes)) * 0.7
+    mean, scale = np.zeros(N_IN), np.ones(N_IN)
+    if standardize:
+        mean, scale = rng.normal(size=N_IN), rng.uniform(0.5, 2.0, N_IN)
+    return mlp.Mlp(config, sizes, params, mean, scale,
+                   np.zeros(N_IN, dtype=bool), mlp.TrainingLog())
+
+
+def _both_paths(net, reps, seed):
+    """Importances of `net` given as the network and as its `predict`, on
+    data where every feature matters and the baseline loss is not zero."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(64, N_IN))
+    snapshot = X.tobytes()
+    if net.config.task == "classification":
+        loss = "zero_one"
+        y = (net.predict(X) >= 0.5).astype(np.float64)
+        y[::9] = 1.0 - y[::9]
+    else:
+        loss = "squared"
+        y = net.predict(X) + 0.1 * rng.normal(size=64)
+    fast = explain.permutation_importance(net, X, y, loss, replications=reps,
+                                          seed=seed)
+    assert X.tobytes() == snapshot
+    slow = explain.permutation_importance(net.predict, X, y, loss,
+                                          replications=reps, seed=seed)
+    assert fast.baseline_loss == slow.baseline_loss > 0.0
+    assert np.any(slow.importances != 0.0)
+    return fast, slow
+
+
+NETWORKS = [((6, 5, 4), False, 4), ((6, 5, 4), True, 4), ((7,), False, 4),
+            ((6, 5, 4), False, 1)]
+
+
+@pytest.mark.parametrize("hidden, standardize, reps", NETWORKS)
+def test_network_classifier_matches_calling_predict(hidden, standardize, reps):
+    net = _network("classification", hidden, 21, standardize)
+    fast, slow = _both_paths(net, reps, seed=22)
+    assert fast.importances.tobytes() == slow.importances.tobytes()
+    assert fast.sd_importance.tobytes() == slow.sd_importance.tobytes()
+
+
+@pytest.mark.parametrize("hidden, standardize, reps", NETWORKS)
+def test_network_regressor_matches_calling_predict(hidden, standardize, reps):
+    net = _network("regression", hidden, 31, standardize)
+    fast, slow = _both_paths(net, reps, seed=32)
+    assert np.max(np.abs(fast.importances - slow.importances)) <= 1e-12
+    assert np.array_equal(explain.rank_features(fast),
+                          explain.rank_features(slow))
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_network_without_hidden_layers_calls_predict(task):
+    net = _network(task, (), 41)
+    fast, slow = _both_paths(net, 3, seed=42)
+    assert fast.importances.tobytes() == slow.importances.tobytes()
+
+
+def test_network_path_makes_one_forward_per_shuffle(monkeypatch):
+    # what a traced benchmark run counts: width * replications + 1
+    shapes = []
+    forward = kernels.mlp_forward
+
+    def counted(params, sizes, X):
+        shapes.append(X.shape)
+        return forward(params, sizes, X)
+
+    monkeypatch.setattr(kernels, "mlp_forward", counted)
+    net = _network("regression", (6, 5, 4), 51)
+    X = np.random.default_rng(52).normal(size=(30, N_IN))
+    explain.permutation_importance(net, X, X[:, 0], "squared",
+                                   replications=3, seed=0)
+    assert len(shapes) == N_IN * 3 + 1
+    # the full network once, then only the layers above the first
+    assert shapes[0] == (30, N_IN)
+    assert set(shapes[1:]) == {(30, 6)}
 
 
 # ---------------------------------------------------------------------------

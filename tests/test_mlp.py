@@ -1,6 +1,7 @@
 """Network training contracts: gradients, determinism, persistence."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -406,6 +407,34 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.sizes.tobytes() == model.sizes.tobytes()
     probe = np.random.default_rng(1).normal(size=(7, 3))
     assert np.max(np.abs(loaded.predict(probe) - model.predict(probe))) <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["feature_mean", "feature_scale",
+                                 "passthrough"])
+def test_load_rejects_scaling_of_another_width(tmp_path, key):
+    X, y = _toy("classification", n=20, f=2, seed=13)
+    model = mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(4,), max_epochs=3))
+    mlp.save_mlp(model, tmp_path)
+    path = tmp_path / "mlp.json"
+    meta = json.loads(path.read_text())
+    meta[key] = meta[key] + meta[key][:1]
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=rf"mlp\.json: {key} has 3 entries, "
+                                         rf"expected 2"):
+        mlp.load_mlp(tmp_path)
+
+
+def test_load_rejects_sizes_without_a_layer(tmp_path):
+    X, y = _toy("regression", n=20, f=2, seed=14)
+    mlp.save_mlp(mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(), max_epochs=2,
+                                               task="regression")), tmp_path)
+    path = tmp_path / "mlp.json"
+    meta = json.loads(path.read_text())
+    for sizes in ([], [2]):
+        meta["sizes"] = sizes
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"mlp\.json: sizes must list"):
+            mlp.load_mlp(tmp_path)
 
 
 def test_load_missing_model_errors(tmp_path):

@@ -5,9 +5,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fdexplain import fpca, sim, viz
 
+import oracles
 from helpers import make_dataset
 
 
@@ -35,6 +38,37 @@ def _all_specs(smoke):
 # ---------------------------------------------------------------------------
 # rendering and persistence
 # ---------------------------------------------------------------------------
+
+_SPANS = st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e)
+_STARTS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x0=_STARTS, x_span=_SPANS, y0=_STARTS, y_span=_SPANS, data=st.data())
+@example(x0=-1.0, x_span=2.0, y0=-1e-12, y_span=1e-12, data=None)
+def test_polyline_matches_point_by_point(x0, x_span, y0, y_span, data):
+    x_range, y_range = (x0, x0 + x_span), (y0, y0 + y_span)
+    assume(x_range[1] > x_range[0] and y_range[1] > y_range[0])
+    frame = viz._Frame(x_range, y_range)
+
+    def coords(lo, hi, size):
+        # range ends, signed zeros, points inside and points well outside
+        value = st.one_of(st.sampled_from([lo, hi, 0.0, -0.0]),
+                          st.floats(lo, hi),
+                          st.floats(-2e6, 2e6, allow_nan=False))
+        return st.lists(value, min_size=size, max_size=size)
+
+    if data is None:
+        xs = [-1.0, 1.0, -0.0, 0.0]
+        ys = [-1e-12, 0.0, -0.0, -1e-12]
+    else:
+        size = data.draw(st.integers(0, 40))
+        xs = data.draw(coords(*x_range, size))
+        ys = data.draw(coords(*y_range, size))
+    assert frame.polyline(np.array(xs, dtype=np.float64),
+                          np.array(ys, dtype=np.float64)) == \
+        oracles.polyline_ref(frame, xs, ys)
+
 
 def test_svg_well_formed_for_every_kind(smoke):
     for name, spec in _all_specs(smoke):
