@@ -15,6 +15,10 @@ first-layer product per network, one forward pass of the layers above it
 per shuffle. Any other model is called once per shuffle on a copy of the
 features. Zero-one importances are the same on both paths bit for bit;
 squared-error importances can differ in their last bits.
+
+A `PfiReport` is its importance matrix plus the settings it was measured
+under. `load_pfi` reads the matrix from `<name>_pfi.csv`; the summaries
+that `save_pfi` also writes to `<name>_pfi.json` are never read back.
 """
 
 from dataclasses import dataclass
@@ -25,8 +29,6 @@ import numpy as np
 from . import kernels, mlp
 from .dataio import FORMAT_VERSION, read_json, read_table_csv, write_json, write_table_csv
 from .seeding import substream
-
-LOSS_KINDS = ("zero_one", "squared")
 
 DEFAULT_REPLICATIONS = 10
 
@@ -42,6 +44,7 @@ def _squared(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
 
 
 _LOSS_FUNCS = {"zero_one": _zero_one, "squared": _squared}
+LOSS_KINDS = tuple(_LOSS_FUNCS)
 
 
 def _mean_losses(loss_fn, predicted, actual) -> np.ndarray:
@@ -54,31 +57,41 @@ def _mean_losses(loss_fn, predicted, actual) -> np.ndarray:
 
 @dataclass
 class PfiReport:
-    """Permutation importance results for one model.
+    """Permutation importances of one model and the settings behind them.
 
     Attributes
     ----------
     importances : (n_features, replications) array; permuted minus baseline
         mean loss per shuffle.
-    mean_importance : per-feature mean over replications.
-    sd_importance : per-feature standard deviation over replications
-        (ddof=1; zeros when there is a single replication).
     baseline_loss : mean loss without any permutation.
-    loss : loss kind, "zero_one" or "squared".
-    replications, seed, n_obs : evaluation settings.
+    loss : loss kind, one of LOSS_KINDS.
+    seed, n_obs : evaluation settings.
+
+    `n_features`, `replications`, `mean_importance` and `sd_importance`
+    (ddof=1; zeros at one replication) are computed from `importances`.
     """
     importances: np.ndarray
-    mean_importance: np.ndarray
-    sd_importance: np.ndarray
     baseline_loss: float
     loss: str
-    replications: int
     seed: int
     n_obs: int
 
     @property
     def n_features(self) -> int:
         return self.importances.shape[0]
+
+    @property
+    def replications(self) -> int:
+        return self.importances.shape[1]
+
+    @property
+    def mean_importance(self) -> np.ndarray:
+        return self.importances.mean(axis=1)
+
+    @property
+    def sd_importance(self) -> np.ndarray:
+        return (self.importances.std(axis=1, ddof=1) if self.replications > 1
+                else np.zeros(self.n_features))
 
 
 def _predictor_rows(predict, X):
@@ -175,19 +188,8 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, loss: str,
                           for rep in range(replications)])
         np.subtract(_mean_losses(loss_fn, rows(j, perms), y), baseline_loss,
                     out=importances[j])
-
-    if replications > 1:
-        sd = importances.std(axis=1, ddof=1)
-    else:
-        sd = np.zeros(n_feat)
-    return PfiReport(importances=importances,
-                     mean_importance=importances.mean(axis=1),
-                     sd_importance=sd,
-                     baseline_loss=baseline_loss,
-                     loss=loss,
-                     replications=replications,
-                     seed=seed,
-                     n_obs=n)
+    return PfiReport(importances=importances, baseline_loss=baseline_loss,
+                     loss=loss, seed=seed, n_obs=n)
 
 
 def rank_features(report: PfiReport) -> np.ndarray:
@@ -198,17 +200,23 @@ def rank_features(report: PfiReport) -> np.ndarray:
     return order + 1
 
 
+_CSV_HEADER = ["feature", "replication", "importance"]
+
+
+def _cells(n_features: int, replications: int) -> np.ndarray:
+    """The 1-based (feature, replication) columns of `<name>_pfi.csv`."""
+    return np.column_stack([
+        np.repeat(np.arange(1.0, n_features + 1), replications),
+        np.tile(np.arange(1.0, replications + 1), n_features)])
+
+
 def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
-    """Persist as `<name>_pfi.csv` (feature, replication, importance rows,
-    1-based indices) plus a `<name>_pfi.json` summary."""
+    """Persist as `<name>_pfi.csv` (one row per importance) plus a
+    `<name>_pfi.json` of the settings, summaries and ranking."""
     outdir = Path(outdir)
-    rows = np.column_stack([
-        np.repeat(np.arange(1.0, report.n_features + 1), report.replications),
-        np.tile(np.arange(1.0, report.replications + 1), report.n_features),
-        report.importances.ravel(),
-    ])
-    write_table_csv(outdir / f"{name}_pfi.csv",
-                    ["feature", "replication", "importance"], rows)
+    rows = np.column_stack([_cells(report.n_features, report.replications),
+                            report.importances.ravel()])
+    write_table_csv(outdir / f"{name}_pfi.csv", _CSV_HEADER, rows)
     write_json(outdir / f"{name}_pfi.json", {
         "format_version": FORMAT_VERSION,
         "loss": report.loss,
@@ -223,32 +231,20 @@ def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
 
 
 def load_pfi(outdir: Path, name: str) -> PfiReport:
+    """The report `save_pfi` wrote; the JSON's summaries are not read."""
     outdir = Path(outdir)
     meta = read_json(outdir / f"{name}_pfi.json", required=(
-        "loss", "replications", "seed", "n_obs", "baseline_loss",
-        "mean_importance", "sd_importance"))
+        "loss", "replications", "seed", "n_obs", "baseline_loss"))
     path = outdir / f"{name}_pfi.csv"
-    _, rows = read_table_csv(path)
-    n_feat = len(meta["mean_importance"])
+    header, rows = read_table_csv(path)
     reps = int(meta["replications"])
-    if rows.shape[0] != n_feat * reps:
-        raise ValueError(f"{name}_pfi.csv has {rows.shape[0]} rows, "
-                         f"expected {n_feat * reps}")
-    # with the row count right, in-range distinct pairs fill every cell
-    pairs = rows[:, :2]
-    in_range = ((pairs >= 1) & (pairs <= (n_feat, reps))
-                & (pairs == np.round(pairs)))
-    cells = ((pairs[:, 0] - 1) * reps + pairs[:, 1] - 1).astype(np.int64)
-    if not in_range.all() or np.unique(cells).size != cells.size:
-        raise ValueError(f"{path}: (feature, replication) pairs do not cover "
-                         f"each of the {n_feat}x{reps} cells exactly once")
-    importances = np.empty(n_feat * reps)
-    importances[cells] = rows[:, 2]
-    return PfiReport(importances=importances.reshape(n_feat, reps),
-                     mean_importance=np.asarray(meta["mean_importance"]),
-                     sd_importance=np.asarray(meta["sd_importance"]),
-                     baseline_loss=float(meta["baseline_loss"]),
-                     loss=meta["loss"],
-                     replications=reps,
-                     seed=int(meta["seed"]),
-                     n_obs=int(meta["n_obs"]))
+    n_feat = rows.shape[0] // reps if reps > 0 else 0  # no row fits reps < 1
+    if header != _CSV_HEADER or not np.array_equal(rows[:, :2],
+                                                   _cells(n_feat, reps)):
+        raise ValueError(f"{path}: expected columns {','.join(_CSV_HEADER)} "
+                         f"and one row per (feature, replication) pair in "
+                         f"feature-major order, {reps} replications each")
+    return PfiReport(
+        importances=np.ascontiguousarray(rows[:, 2]).reshape(n_feat, reps),
+        baseline_loss=float(meta["baseline_loss"]), loss=meta["loss"],
+        seed=int(meta["seed"]), n_obs=int(meta["n_obs"]))

@@ -17,6 +17,7 @@ product with (first training signature - mean) is non-negative; ties
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -160,24 +161,26 @@ def _read_grid_table(path: Path, header: list[str],
     got, tab = read_table_csv(path)
     if (got != header or tab.shape[0] != grid.count
             or not np.array_equal(tab[:, 0], grid.points)):
-        raise ValueError(f"{path}: expected columns {','.join(header)} and "
-                         f"one row per point of the {grid.count}-point grid "
-                         f"in fpca.json; got columns {','.join(got)} and "
-                         f"{tab.shape[0]} rows")
+        pairs = enumerate(zip_longest(header, got))
+        differ = next((f"; column {i + 1} is {have!r}, expected {want!r}"
+                       for i, (want, have) in pairs if want != have), "")
+        raise ValueError(f"{path}: expected {len(header)} columns and one "
+                         f"row per point of the {grid.count}-point grid in "
+                         f"fpca.json; got {len(got)} columns and "
+                         f"{tab.shape[0]} rows{differ}")
     return tab
 
 
 def load_model(outdir: Path) -> FpcaModel:
+    """The saved model; its eigenvalues set the component count."""
     outdir = Path(outdir)
     path = outdir / "fpca.json"
-    meta = read_json(path, required=(
-        "grid", "n_components", "eigenvalues", "n_train"))
+    meta = read_json(path, required=("grid", "eigenvalues", "n_train"))
     grid = grid_from_dict(meta["grid"], path)
+    eigenvalues = np.asarray(meta["eigenvalues"], dtype=np.float64)
     mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
     eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",
-                               _eigenfunctions_header(meta["n_components"]),
-                               grid)
+                               _eigenfunctions_header(eigenvalues.size), grid)
     eigenfunctions = np.ascontiguousarray(eig_tab[:, 1:].T)
-    return FpcaModel(grid, mean_tab[:, 1].copy(), eigenfunctions,
-                     np.asarray(meta["eigenvalues"], dtype=np.float64),
+    return FpcaModel(grid, mean_tab[:, 1].copy(), eigenfunctions, eigenvalues,
                      int(meta["n_train"]))

@@ -339,6 +339,9 @@ def load_mlp(outdir: Path) -> Mlp:
     sizes = np.asarray(meta["sizes"], dtype=np.int64)
     if sizes.ndim != 1 or sizes.size < 2:
         raise ValueError(f"{path}: sizes must list at least 2 layer widths")
+    if sizes[1:-1].tolist() != list(config.hidden_sizes):
+        raise ValueError(f"{path}: sizes {sizes.tolist()} disagree with "
+                         f"config.hidden_sizes {list(config.hidden_sizes)}")
     for key in ("feature_mean", "feature_scale", "passthrough"):
         if len(meta[key]) != sizes[0]:
             raise ValueError(f"{path}: {key} has {len(meta[key])} entries, "

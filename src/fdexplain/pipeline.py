@@ -383,14 +383,10 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
             t: {
                 "ranking_top10": top10[t],
                 "baseline_loss": pfi_reports[t].baseline_loss,
-                "mean_importance_top10": [
-                    float(pfi_reports[t].mean_importance[j - 1])
-                    for j in top10[t]
-                ],
-                "sd_importance_top10": [
-                    float(pfi_reports[t].sd_importance[j - 1])
-                    for j in top10[t]
-                ],
+                "mean_importance_top10": pfi_reports[t].mean_importance[
+                    np.subtract(top10[t], 1)].tolist(),
+                "sd_importance_top10": pfi_reports[t].sd_importance[
+                    np.subtract(top10[t], 1)].tolist(),
             } for t in TARGETS
         },
         "ranking_checks": checks,

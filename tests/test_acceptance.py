@@ -182,10 +182,8 @@ def test_criterion_08_importance_ranking_reproduction(desk):
         # the deviation flag must actually trip on a wrong ordering
         swapped = dict(reports)
         swapped["y3"] = explain.PfiReport(
-            importances=np.array([[0.5], [0.1]]),
-            mean_importance=np.array([0.5, 0.1]),
-            sd_importance=np.zeros(2), baseline_loss=0.1, loss="squared",
-            replications=1, seed=0, n_obs=4)
+            importances=np.array([[0.5], [0.1]]), baseline_loss=0.1,
+            loss="squared", seed=0, n_obs=4)
         assert not pipeline.ranking_checks(swapped)["y3_top1_is_fpc_2"]
         assert desk.elapsed < 600.0, desk.elapsed
 

@@ -20,10 +20,8 @@ def _squared(predicted, actual):
 def _report_from_means(means) -> explain.PfiReport:
     means = np.asarray(means, dtype=np.float64)
     return explain.PfiReport(importances=means[:, None],
-                             mean_importance=means,
-                             sd_importance=np.zeros(means.size),
                              baseline_loss=0.0, loss="squared",
-                             replications=1, seed=0, n_obs=4)
+                             seed=0, n_obs=4)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +323,23 @@ def test_load_rejects_rows_that_miss_a_cell(tmp_path):
                         + "\n")
         with pytest.raises(ValueError, match="y3_pfi.csv"):
             explain.load_pfi(tmp_path, "y3")
+
+def test_load_rejects_rows_out_of_order(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(10, 3))
+    report = explain.permutation_importance(lambda Z: Z[:, 0], X,
+                                            rng.normal(size=10), "squared",
+                                            replications=2, seed=1)
+    explain.save_pfi(report, tmp_path, "y3")
+    path = tmp_path / "y3_pfi.csv"
+    lines = path.read_text().splitlines()
+    # every cell is still covered once, but not in the written order
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="y3_pfi.csv") as info:
+        explain.load_pfi(tmp_path, "y3")
+    assert str(path) in str(info.value)
+
 
 def test_load_missing_report_errors(tmp_path):
     with pytest.raises(FileNotFoundError, match="missing artifact"):

@@ -237,3 +237,26 @@ def test_load_rejects_tables_off_the_grid(tmp_path, name, edit):
     with pytest.raises(ValueError, match="10-point grid") as info:
         fpca.load_model(tmp_path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("name, drop, differ", [
+    ("mean.csv", 1, "column 2 is None, expected 'mean'"),
+    ("eigenfunctions.csv", 3, "column 4 is 'fpc_4', expected 'fpc_3'")])
+def test_load_states_column_counts_and_first_difference(tmp_path, name, drop,
+                                                        differ):
+    rng = np.random.default_rng(15)
+    fpca.save_model(fpca.fit(helpers.make_dataset(rng.normal(size=(8, 10)))),
+                    tmp_path)
+    path = tmp_path / name
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    width = len(rows[0])
+    path.write_text("".join(",".join(cells[:drop] + cells[drop + 1:]) + "\n"
+                            for cells in rows))
+    with pytest.raises(ValueError) as info:
+        fpca.load_model(tmp_path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: expected {width} columns")
+    assert f"got {width - 1} columns" in message
+    assert message.endswith(differ)
+    # counts and one column, not the headers
+    assert message.count("fpc_") == differ.count("fpc_")

@@ -437,6 +437,20 @@ def test_load_rejects_sizes_without_a_layer(tmp_path):
             mlp.load_mlp(tmp_path)
 
 
+def test_load_rejects_hidden_sizes_that_disagree_with_sizes(tmp_path):
+    X, y = _toy("classification", n=20, f=2, seed=16)
+    mlp.save_mlp(mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(4, 3),
+                                               max_epochs=2)), tmp_path)
+    path = tmp_path / "mlp.json"
+    meta = json.loads(path.read_text())
+    meta["config"]["hidden_sizes"] = [7]
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=r"mlp\.json: sizes \[2, 4, 3, 1\] "
+                                         r"disagree with config\.hidden_sizes "
+                                         r"\[7\]"):
+        mlp.load_mlp(tmp_path)
+
+
 def test_load_missing_model_errors(tmp_path):
     with pytest.raises(FileNotFoundError, match="missing artifact"):
         mlp.load_mlp(tmp_path / "nowhere")

@@ -3,6 +3,7 @@ artifact layout, reproducibility, and the CLI."""
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -294,10 +295,8 @@ def test_runconfig_json_round_trip_is_identity(config):
 def _pfi(means) -> explain.PfiReport:
     means = np.asarray(means, dtype=np.float64)
     return explain.PfiReport(importances=means[:, None],
-                             mean_importance=means,
-                             sd_importance=np.zeros(means.size),
                              baseline_loss=0.1, loss="squared",
-                             replications=1, seed=0, n_obs=5)
+                             seed=0, n_obs=5)
 
 
 GOOD_Y1 = [0.3, 0.25, 0.05] + [0.0] * 9
@@ -459,6 +458,27 @@ def test_smoke_manifest_and_artifacts(smoke_run):
 
     on_disk = read_json(outdir / "manifest.json")
     assert on_disk == json.loads(json.dumps(manifest.to_dict()))
+
+
+def test_smoke_run_holds_the_keys_the_benchmark_reads(smoke_run):
+    """The run-directory entries that perfbench's worker and output checks
+    read; dropping one breaks the benchmark harness."""
+    _, _, outdir = smoke_run
+    manifest = read_json(outdir / "manifest.json")
+    fpca_meta = read_json(outdir / "fpca" / "fpca.json")
+    assert manifest["config"]["pfi"]["replications"] == 5
+    assert manifest["realized_width"] == fpca_meta["n_components"] \
+        == len(fpca_meta["eigenvalues"])
+    assert manifest["completed_stages"] == list(STAGES)
+    for target in pipeline.TARGETS:
+        log = read_json(outdir / "models" / target / "mlp.json")["log"]
+        assert log["epochs_run"] >= 1
+        saved = read_json(outdir / "pfi" / f"{target}_pfi.json")
+        loaded = explain.load_pfi(outdir / "pfi", target)
+        assert np.array(saved["mean_importance"]).tobytes() == \
+            loaded.mean_importance.tobytes()
+    report = read_json(outdir / "report.json")
+    assert {"metrics", "ranking_checks", "deviations"} <= set(report)
 
 
 def test_smoke_report_contents(smoke_run):
@@ -697,6 +717,39 @@ def test_cli_report_and_figures_rebuild_byte_identical(smoke_run):
     assert cli.main(["figures", "--run", str(outdir)]) == 0
     after_figs = {p.name: p.read_bytes() for p in figdir.iterdir()}
     assert after_figs == before_figs
+
+
+def test_cli_report_ignores_the_saved_summaries(smoke_run, tmp_path):
+    """`report --run` ranks from the importance tables, so an edited mean
+    in a `<t>_pfi.json` leaves the rebuilt report as the run wrote it."""
+    _, _, outdir = smoke_run
+    rundir = tmp_path / "run"
+    shutil.copytree(outdir, rundir)
+    path = rundir / "pfi" / "y3_pfi.json"
+    meta = read_json(path)
+    meta["mean_importance"][1] = 1.0
+    write_json(path, meta)
+    assert cli.main(["report", "--run", str(rundir)]) == 0
+    for name in ("report.json", "report.md"):
+        assert (rundir / name).read_bytes() == (outdir / name).read_bytes(), \
+            name
+
+
+def test_cli_transform_refuses_eigenvalues_that_miss_a_component(
+        smoke_run, tmp_path, capsys):
+    _, _, outdir = smoke_run
+    model = tmp_path / "fpca"
+    shutil.copytree(outdir / "fpca", model)
+    meta = read_json(model / "fpca.json")
+    meta["eigenvalues"] = meta["eigenvalues"][:-5]
+    write_json(model / "fpca.json", meta)
+    out = tmp_path / "scores.csv"
+    capsys.readouterr()
+    assert cli.main(["transform", "--model", str(model),
+                     "--data", str(outdir / "data" / "test.csv"),
+                     "-o", str(out)]) == 1
+    assert str(model / "eigenfunctions.csv") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_with_config_json(tmp_path):

@@ -70,9 +70,7 @@ def test_margin_signs_agree_with_the_report_checks():
     summaries = _summaries(_summary([0.5, 0.6, 0.3, 0.1] + TAIL, [0.1] * 12))
     reports = {t: explain.PfiReport(
         importances=np.array(p["mean_importance"])[:, None],
-        mean_importance=np.array(p["mean_importance"]),
-        sd_importance=np.array(p["sd_importance"]), baseline_loss=0.1,
-        loss="squared", replications=REPS, seed=0, n_obs=5)
+        baseline_loss=0.1, loss="squared", seed=0, n_obs=5)
         for t, p in summaries.items()}
     checks = pipeline.ranking_checks(reports)
     for name, m in ranking_sweep.check_margins(summaries).items():
