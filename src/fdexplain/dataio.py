@@ -1,7 +1,10 @@
 """File formats: dataset CSV + JSON sidecar, score matrices, generic tables.
 
-All floats are written as shortest round-trip decimals (Python repr), so
-file -> load -> file is byte-stable and downstream numbers are exact.
+All floats are written as shortest round-trip decimals, byte for byte as
+Python repr writes them, so file -> load -> file is byte-stable and
+downstream numbers are exact. `_format_rows` prints a table a block at a
+time with orjson, whose shortest digits equal repr's; the values that
+repr writes with an exponent or as a word are patched in by repr itself.
 Every text artifact of the package (JSON, CSV, SVG, the Markdown report)
 is written by `_write_lines`, the one place that decides encoding, line
 endings, parent-directory creation and the atomic replacement of a file.
@@ -13,16 +16,46 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
+from ._config import _checked
 from .sim import Dataset, LabelSet, TimeGrid, default_grid
 
 FORMAT_VERSION = 1
 
+# values per orjson call: large enough to amortize the call, small enough
+# that a block's text stays a small fraction of the run's memory
+_BLOCK_VALUES = 8192
+# repr writes |x| in [1e-4, 1e16) positionally, as orjson does; outside
+# that range (zero aside) it uses an exponent, and nan and inf are words
+_POSITIONAL = (1e-4, 1e16)
 
-def _format_row(row) -> str:
-    """One CSV line body: each value as a float64 in shortest round-trip
-    form (Python repr), so nan, inf and -0.0 survive too."""
-    return ",".join(map(repr, np.asarray(row, dtype=np.float64).tolist()))
+
+def _format_rows(table: np.ndarray):
+    """The CSV line bodies of a 2-D table, one per row: each value as a
+    float64 in shortest round-trip form, byte for byte
+    `",".join(map(repr, row))`, so nan, inf and -0.0 survive too.
+
+    Rows are printed a block of about `_BLOCK_VALUES` values at a time by
+    one orjson call. Values that repr writes with an exponent or as a
+    word are zeroed for that call and then replaced by their repr."""
+    n, width = table.shape
+    step = max(1, _BLOCK_VALUES // max(width, 1))
+    for start in range(0, n, step):
+        raw = table[start:start + step]
+        block = np.array(raw, dtype=np.float64, order="C")
+        size = np.abs(block)
+        odd = ~((size >= _POSITIONAL[0]) & (size < _POSITIONAL[1])) \
+            & (block != 0.0)
+        block[odd] = 0.0
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        lines = text[2:-2].decode().split("],[")
+        for r in np.flatnonzero(odd.any(axis=1)).tolist():
+            cells = lines[r].split(",")
+            for j in np.flatnonzero(odd[r]).tolist():
+                cells[j] = repr(float(raw[r, j]))
+            lines[r] = ",".join(cells)
+        yield from lines
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -66,6 +99,18 @@ def _require_keys(obj, keys, path: Path, entry: str = "",
         raise ValueError(f"{where}unknown key {unknown[0]!r}")
 
 
+def _checked_values(obj: dict, kinds: dict, path: Path) -> list:
+    """The values of `obj` at the keys of `kinds`, in that order, each of
+    the JSON kind of its example in `kinds` (`_config._checked`: an
+    integer passes for a number and comes back as that float); a value of
+    another kind is a ValueError naming `path` and the key."""
+    try:
+        return [_checked(obj[key], example, key)
+                for key, example in kinds.items()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_json(text: str, path: Path, required=()) -> dict:
     """The JSON object in `text`, read from `path`, which must hold every
     key in `required`."""
@@ -86,8 +131,15 @@ def read_json(path: Path, required=()) -> dict:
 
 
 def write_table_csv(path: Path, header: list[str], rows) -> None:
-    """Write a float table; rows may be a 2-D array or list of sequences."""
-    _write_lines(path, chain([",".join(header)], map(_format_row, rows)))
+    """Write a float table; rows may be a 2-D array or list of sequences,
+    one value per header column. A table of another shape is refused,
+    naming `path`, and nothing is written."""
+    table = np.asarray(rows, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"{path}: expected a 2-D table of {len(header)} "
+                         f"columns to match the header, got shape "
+                         f"{table.shape}")
+    _write_lines(path, chain([",".join(header)], _format_rows(table)))
 
 
 def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray]:
@@ -117,9 +169,9 @@ def _write_labelled(csv_path: Path, header: list[str], values: np.ndarray,
     """Write float rows each followed by the integer y1, y2 and float y3
     labels."""
     _write_lines(csv_path, chain([",".join(header)], (
-        f"{_format_row(values[i])},{int(labels.y1[i])},"
-        f"{int(labels.y2[i])},{float(labels.y3[i])!r}"
-        for i in range(values.shape[0]))))
+        f"{line},{int(y1)},{int(y2)},{float(y3)!r}"
+        for line, y1, y2, y3 in zip(_format_rows(values), labels.y1,
+                                    labels.y2, labels.y3))))
 
 
 def _split_labels(path: Path, data: np.ndarray,

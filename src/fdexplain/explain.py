@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, mlp
-from .dataio import FORMAT_VERSION, read_json, read_table_csv, write_json, write_table_csv
+from .dataio import (FORMAT_VERSION, _checked_values, read_json,
+                     read_table_csv, write_json, write_table_csv)
 from .seeding import substream
 
 DEFAULT_REPLICATIONS = 10
@@ -201,6 +202,10 @@ def rank_features(report: PfiReport) -> np.ndarray:
 
 
 _CSV_HEADER = ["feature", "replication", "importance"]
+# the `<name>_pfi.json` keys that `load_pfi` reads, each with an example of
+# its JSON kind
+_JSON_KINDS = {"loss": "", "replications": 0, "seed": 0, "n_obs": 0,
+               "baseline_loss": 0.0}
 
 
 def _cells(n_features: int, replications: int) -> np.ndarray:
@@ -233,11 +238,15 @@ def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
 def load_pfi(outdir: Path, name: str) -> PfiReport:
     """The report `save_pfi` wrote; the JSON's summaries are not read."""
     outdir = Path(outdir)
-    meta = read_json(outdir / f"{name}_pfi.json", required=(
-        "loss", "replications", "seed", "n_obs", "baseline_loss"))
+    json_path = outdir / f"{name}_pfi.json"
+    meta = read_json(json_path, required=_JSON_KINDS)
+    loss, reps, seed, n_obs, baseline_loss = _checked_values(
+        meta, _JSON_KINDS, json_path)
+    if loss not in LOSS_KINDS:
+        raise ValueError(f"{json_path}: loss must be one of "
+                         f"{', '.join(LOSS_KINDS)}, got {loss!r}")
     path = outdir / f"{name}_pfi.csv"
     header, rows = read_table_csv(path)
-    reps = int(meta["replications"])
     n_feat = rows.shape[0] // reps if reps > 0 else 0  # no row fits reps < 1
     if header != _CSV_HEADER or not np.array_equal(rows[:, :2],
                                                    _cells(n_feat, reps)):
@@ -246,5 +255,4 @@ def load_pfi(outdir: Path, name: str) -> PfiReport:
                          f"feature-major order, {reps} replications each")
     return PfiReport(
         importances=np.ascontiguousarray(rows[:, 2]).reshape(n_feat, reps),
-        baseline_loss=float(meta["baseline_loss"]), loss=meta["loss"],
-        seed=int(meta["seed"]), n_obs=int(meta["n_obs"]))
+        baseline_loss=baseline_loss, loss=loss, seed=seed, n_obs=n_obs)

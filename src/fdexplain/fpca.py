@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (FORMAT_VERSION, grid_from_dict, grid_to_dict, read_json,
-                     read_table_csv, write_json, write_table_csv)
+from .dataio import (FORMAT_VERSION, _checked_values, grid_from_dict,
+                     grid_to_dict, read_json, read_table_csv, write_json,
+                     write_table_csv)
 from .errors import NumericalError
 from .sim import Dataset, TimeGrid
 
@@ -177,10 +178,12 @@ def load_model(outdir: Path) -> FpcaModel:
     path = outdir / "fpca.json"
     meta = read_json(path, required=("grid", "eigenvalues", "n_train"))
     grid = grid_from_dict(meta["grid"], path)
-    eigenvalues = np.asarray(meta["eigenvalues"], dtype=np.float64)
+    eigenvalues, n_train = _checked_values(
+        meta, {"eigenvalues": [0.0], "n_train": 0}, path)
+    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
     eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",
                                _eigenfunctions_header(eigenvalues.size), grid)
     eigenfunctions = np.ascontiguousarray(eig_tab[:, 1:].T)
     return FpcaModel(grid, mean_tab[:, 1].copy(), eigenfunctions, eigenvalues,
-                     int(meta["n_train"]))
+                     n_train)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fpca as fpca_mod
-from .dataio import _format_row, _parse_json, _write_lines, read_table_csv
+from .dataio import _format_rows, _parse_json, _write_lines, read_table_csv
 from .sim import Dataset, class_conditional_means
 
 KINDS = ("eigenfunction", "mean-pm-eigenfunction", "extreme-bundles",
@@ -345,7 +345,7 @@ def _figure_csv_lines(spec: PlotSpec):
             header.append(f"defined_{i + 1}")
             columns.append(spec.defined[i].astype(np.float64))
     return chain(["# " + json.dumps(meta, sort_keys=True), ",".join(header)],
-                 map(_format_row, zip(*columns)))
+                 _format_rows(np.column_stack(columns)))
 
 
 def save_figure(spec: PlotSpec, outdir: Path, name: str) -> tuple[Path, Path]:

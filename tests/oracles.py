@@ -27,7 +27,9 @@ one-replication mean loss that `fdexplain.explain` replaced with a
 reduction over a block of replications, and `polyline_ref` the
 point-by-point SVG polyline that `fdexplain.viz._Frame.polyline`
 replaced with array arithmetic; both must be matched bit for bit (byte
-for byte for the polyline).
+for byte for the polyline). `format_row_ref` is the one-value-at-a-time
+`repr` row formatter that `fdexplain.dataio._format_rows` replaced with
+block-wise orjson printing; every CSV line must match it byte for byte.
 """
 
 import itertools
@@ -384,3 +386,11 @@ def polyline_ref(frame, xs, ys) -> str:
     frame's scalar `sx` and `sy`."""
     return " ".join(f"{frame.sx(float(x)):.2f},{frame.sy(float(y)):.2f}"
                     for x, y in zip(xs, ys))
+
+
+# one CSV line body, value by value
+
+def format_row_ref(row) -> str:
+    """One CSV line body: each value as a float64 in shortest round-trip
+    form (Python repr), so nan, inf and -0.0 survive too."""
+    return ",".join(map(repr, np.asarray(row, dtype=np.float64).tolist()))

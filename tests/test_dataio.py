@@ -1,6 +1,8 @@
 """Artifact IO: exact float round trips and format validation."""
 
 import json
+import re
+import struct
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from fdexplain import dataio, explain, fpca, mlp, sim
 from fdexplain.sim import LabelSet
 
 from helpers import make_dataset
+from oracles import format_row_ref
 
 
 def _dataset(n=7, m=12, seed=0):
@@ -222,6 +225,48 @@ def test_nested_json_keys_checked_by_name(tmp_path, setup, name, edit,
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("setup, name, key, value, message", [
+    (_pfi_file, "y3_pfi.json", "replications", None,
+     "replications must be an integer, got None"),
+    (_pfi_file, "y3_pfi.json", "replications", "abc",
+     "replications must be an integer, got 'abc'"),
+    (_pfi_file, "y3_pfi.json", "replications", 2.5,
+     "replications must be an integer, got 2.5"),
+    (_pfi_file, "y3_pfi.json", "seed", True,
+     "seed must be an integer, got True"),
+    (_pfi_file, "y3_pfi.json", "n_obs", 8.0,
+     "n_obs must be an integer, got 8.0"),
+    (_pfi_file, "y3_pfi.json", "baseline_loss", "0.5",
+     "baseline_loss must be a number, got '0.5'"),
+    (_pfi_file, "y3_pfi.json", "loss", None,
+     "loss must be a string, got None"),
+    (_pfi_file, "y3_pfi.json", "loss", "hinge",
+     "loss must be one of zero_one, squared, got 'hinge'"),
+    (_fpca_file("mean.csv"), "fpca.json", "n_train", None,
+     "n_train must be an integer, got None"),
+    (_fpca_file("mean.csv"), "fpca.json", "n_train", 6.5,
+     "n_train must be an integer, got 6.5"),
+    (_fpca_file("mean.csv"), "fpca.json", "eigenvalues", "1.0",
+     "eigenvalues must be a list, got '1.0'"),
+    (_fpca_file("mean.csv"), "fpca.json", "eigenvalues", [1.0, None],
+     "each item of eigenvalues must be a number, got None")],
+    ids=["pfi-reps-null", "pfi-reps-string", "pfi-reps-fraction",
+         "pfi-seed-bool", "pfi-n-obs-float", "pfi-baseline-string",
+         "pfi-loss-null", "pfi-loss-unknown", "fpca-n-train-null",
+         "fpca-n-train-fraction", "fpca-eigenvalues-string",
+         "fpca-eigenvalue-null"])
+def test_json_values_of_another_kind_rejected_by_name(tmp_path, setup, name,
+                                                      key, value, message):
+    _, load = setup(tmp_path)
+    path = tmp_path / name
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        load()
+    assert str(path) in str(info.value)
+
+
 def test_malformed_json_names_the_file(tmp_path):
     path = tmp_path / "meta.json"
     dataio.write_json(path, {"a": 1, "b": [0.5, "x"]})
@@ -280,6 +325,61 @@ def test_scores_round_trip_bit_identical(tmp_path_factory, case):
     assert _bits_equal(back_labels.y3, y3)
     assert np.array_equal(back_labels.y1, labels.y1)
     assert np.array_equal(back_labels.y2, labels.y2)
+
+
+# the nextafter neighbours of the bounds of repr's positional range,
+# subnormals, signed zeros and the non-finite values
+_EDGES = [x for bound in (1e-4, -1e-4, 1e16, -1e16)
+          for x in (np.nextafter(bound, 0.0), bound,
+                    np.nextafter(bound, 2 * bound))] + [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    np.nextafter(2.2250738585072014e-308, 0.0), np.nan, np.inf, -np.inf]
+_any_bits = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+
+
+@st.composite
+def _tables(draw):
+    """A table of width 0, 1 or 1100 whose row count ranges over several
+    `_format_rows` blocks; each cell is one of a drawn pool of values
+    (edges included) or a random bit pattern."""
+    width = draw(st.sampled_from([0, 1, 1100]))
+    step = max(1, dataio._BLOCK_VALUES // max(width, 1))
+    n = draw(st.integers(0, 3 * step + 1))
+    pool = np.array(draw(st.lists(st.one_of(_any_bits, st.sampled_from(_EDGES)),
+                                  min_size=1, max_size=32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = np.frombuffer(rng.bytes(8 * n * width), dtype=np.float64)
+    return np.where(rng.random((n, width)) < 0.5,
+                    pool[rng.integers(0, pool.size, size=(n, width))],
+                    bits.reshape(n, width))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_tables())
+@example(table=np.array(_EDGES * 40).reshape(-1, 1))
+@example(table=np.zeros((3, 0)))
+def test_format_rows_match_repr_byte_for_byte(tmp_path_factory, table):
+    want = [format_row_ref(row) for row in table]
+    assert list(dataio._format_rows(table)) == want
+    assert list(dataio._format_rows(np.asfortranarray(table))) == want
+    path = tmp_path_factory.getbasetemp() / "format_rows.csv"
+    header = [f"c{j}" for j in range(table.shape[1])]
+    dataio.write_table_csv(path, header, table)
+    assert path.read_bytes() == "".join(
+        line + "\n" for line in [",".join(header)] + want).encode()
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0, 3.0]], [[1.0]], [1.0, 2.0], [[[1.0, 2.0]]]],
+    ids=["wider", "narrower", "1-D", "3-D"])
+def test_write_table_refuses_a_table_that_does_not_fit_the_header(tmp_path,
+                                                                  rows):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError) as info:
+        dataio.write_table_csv(path, ["a", "b"], rows)
+    assert str(path) in str(info.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scores_wrong_header(tmp_path):

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from fdexplain import cli, explain, metrics, mlp, pipeline
 from fdexplain._version import __version__
 from fdexplain.dataio import (read_dataset, read_json, read_scores,
-                              write_json, write_scores)
+                              read_table_csv, write_json, write_scores)
 from fdexplain.errors import PipelineError
 from fdexplain.sim import SimParams
 
 from helpers import make_dataset
-from oracles import ranking_checks_ref
+from oracles import format_row_ref, ranking_checks_ref
 
 STAGES = ("simulate", "split", "fpca", "transform", "train", "metrics",
           "pfi", "report", "figures")
@@ -481,6 +481,34 @@ def test_smoke_run_holds_the_keys_the_benchmark_reads(smoke_run):
     assert {"metrics", "ranking_checks", "deviations"} <= set(report)
 
 
+def _rendered_by_repr(path: Path) -> bytes:
+    """The bytes of the CSV at `path` with every float row re-rendered by
+    `format_row_ref`, keeping a figure's comment line and the integer
+    y1/y2 labels of a labelled table."""
+    text = path.read_text(encoding="utf-8")
+    comment = text.startswith("# ")
+    header, rows = read_table_csv(path, skiprows=int(comment))
+    lines = text.split("\n")[:1 + comment]
+    for row in rows:
+        if header[-3:] == ["y1", "y2", "y3"]:
+            lines.append(f"{format_row_ref(row[:-3])},{int(row[-3])},"
+                         f"{int(row[-2])},{format_row_ref(row[-1:])}")
+        else:
+            lines.append(format_row_ref(row))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def test_smoke_csvs_are_written_as_repr_writes_them(smoke_run):
+    _, _, outdir = smoke_run
+    paths = [path for sub in ("data", "fpca", "scores", "models", "pfi",
+                              "tables", "figures")
+             for path in sorted((outdir / sub).rglob("*.csv"))]
+    assert {path.relative_to(outdir).parts[0] for path in paths} == {
+        "data", "fpca", "scores", "models", "pfi", "tables", "figures"}
+    for path in paths:
+        assert path.read_bytes() == _rendered_by_repr(path), path
+
+
 def test_smoke_report_contents(smoke_run):
     config, manifest, outdir = smoke_run
     report = read_json(outdir / "report.json")
@@ -812,6 +840,7 @@ def _transform_names_broken_model(tmp_path, capsys, edit):
                      "-o", str(tmp_path / "scores.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(meta) in err
+    return err
 
 
 def test_cli_names_a_truncated_model_file(tmp_path, capsys):
@@ -822,6 +851,32 @@ def test_cli_names_a_model_file_with_an_empty_grid(tmp_path, capsys):
     _transform_names_broken_model(
         tmp_path, capsys,
         lambda text: json.dumps(dict(json.loads(text), grid={})))
+
+
+@pytest.mark.parametrize("value", [None, "abc", 2.5])
+def test_cli_names_a_model_file_whose_n_train_is_not_an_integer(
+        tmp_path, capsys, value):
+    err = _transform_names_broken_model(
+        tmp_path, capsys,
+        lambda text: json.dumps(dict(json.loads(text), n_train=value)))
+    assert "n_train must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replications", None), ("replications", "abc"), ("replications", 2.5),
+    ("loss", "hinge")])
+def test_cli_report_names_a_pfi_file_with_a_value_of_another_kind(
+        smoke_run, tmp_path, capsys, key, value):
+    _, _, outdir = smoke_run
+    rundir = tmp_path / "run"
+    shutil.copytree(outdir, rundir)
+    path = rundir / "pfi" / "y2_pfi.json"
+    write_json(path, dict(read_json(path), **{key: value}))
+    capsys.readouterr()
+    assert cli.main(["report", "--run", str(rundir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{path}: {key} must be" in err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_bad_dataset_path(tmp_path, capsys):
