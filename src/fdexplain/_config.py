@@ -2,10 +2,11 @@
 
 from dataclasses import fields, replace
 
-# the JSON kind of a config value by its Python type; objects and records
-# are absent, as their own `_override` call checks their fields
+# the JSON kind of a config value by its Python type; records are absent,
+# as their own `_override` call checks their fields
 _KINDS = {bool: "a bool", int: "an integer", float: "a number",
-          str: "a string", list: "a list", tuple: "a list"}
+          str: "a string", list: "a list", tuple: "a list",
+          dict: "a JSON object"}
 
 
 def _checked(value, default, where: str):
@@ -32,8 +33,7 @@ def _override(base, changes: dict, record: str):
     integer given for a float becomes that float, so that configs of one
     run serialize and digest alike.
     """
-    if not isinstance(changes, dict):
-        raise ValueError(f"{record} must be a JSON object")
+    _checked(changes, {}, record)
     is_dict = isinstance(base, dict)
     unknown = sorted(set(changes).difference(
         base if is_dict else (f.name for f in fields(base))))

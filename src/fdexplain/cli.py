@@ -104,7 +104,8 @@ def _cmd_report(args) -> int:
     rundir = Path(args.run)
     config = pipeline.load_run_config(rundir / "config.json")
     model = fpca.load_model(rundir / "fpca")
-    metric_summary = read_json(rundir / "tables" / "metrics.json")
+    metric_summary = read_json(rundir / "tables" / "metrics.json",
+                               pipeline.METRICS_KINDS)
     training = {t: mlp.load_mlp(rundir / "models" / t).log
                 for t in pipeline.TARGETS}
     pfi_reports = {t: explain.load_pfi(rundir / "pfi", t)

@@ -8,6 +8,8 @@ repr writes with an exponent or as a word are patched in by repr itself.
 Every text artifact of the package (JSON, CSV, SVG, the Markdown report)
 is written by `_write_lines`, the one place that decides encoding, line
 endings, parent-directory creation and the atomic replacement of a file.
+Every JSON artifact is read by `read_json`, which checks each key and the
+kind of its value against the one shape that the file's loader declares.
 """
 
 import json
@@ -83,51 +85,45 @@ def write_json(path: Path, obj: dict) -> None:
     _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
-def _require_keys(obj, keys, path: Path, entry: str = "",
-                  exact: bool = False) -> None:
-    """Raise a ValueError naming `path` (and the `entry` of it that `obj`
-    is) unless `obj` is a JSON object holding every key in `keys` and, if
-    `exact`, no other key."""
-    where = f"{path}: {entry + ': ' if entry else ''}"
+def _checked_json(obj, example: dict, entry: str = "") -> dict:
+    """`obj` if it holds every key of `example` with a value of that
+    example's JSON kind (`_config._checked`), else a ValueError naming the
+    key within `entry`. A nested object, which its loader unpacks into a
+    record, may hold no other key; an empty example `{}` is any object."""
+    where = f"{entry}: " if entry else ""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}not a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValueError(f"{where}missing key {missing[0]!r}")
-    unknown = sorted(set(obj).difference(keys)) if exact else []
+    unknown = sorted(set(obj).difference(example)) if entry else []
     if unknown:
         raise ValueError(f"{where}unknown key {unknown[0]!r}")
+    checked = dict(obj)
+    for key, kind in example.items():
+        if key not in obj:
+            raise ValueError(f"{where}missing key {key!r}")
+        name = f"{entry}.{key}" if entry else key
+        if isinstance(kind, dict) and kind:
+            checked[key] = _checked_json(obj[key], kind, name)
+        else:
+            checked[key] = _checked(obj[key], kind, name)
+    return checked
 
 
-def _checked_values(obj: dict, kinds: dict, path: Path) -> list:
-    """The values of `obj` at the keys of `kinds`, in that order, each of
-    the JSON kind of its example in `kinds` (`_config._checked`: an
-    integer passes for a number and comes back as that float); a value of
-    another kind is a ValueError naming `path` and the key."""
+def _parse_json(text: str, path: Path, example: dict) -> dict:
+    """The JSON object in `text` from `path`, checked against `example`."""
     try:
-        return [_checked(obj[key], example, key)
-                for key, example in kinds.items()]
+        return _checked_json(json.loads(text), example)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_json(text: str, path: Path, required=()) -> dict:
-    """The JSON object in `text`, read from `path`, which must hold every
-    key in `required`."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    _require_keys(obj, required, path)
-    return obj
-
-
-def read_json(path: Path, required=()) -> dict:
-    """The JSON object in `path`, which must hold every key in `required`."""
+def read_json(path: Path, example: dict = {}) -> dict:
+    """The JSON object in `path`, of the shape `example` (`_checked_json`)."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
-    return _parse_json(path.read_text(encoding="utf-8"), path, required)
+    return _parse_json(path.read_text(encoding="utf-8"), path, example)
 
 
 def write_table_csv(path: Path, header: list[str], rows) -> None:
@@ -197,14 +193,14 @@ def _split_labels(path: Path, data: np.ndarray,
         y3=data[:, width + 2].copy())
 
 
+# the shapes of a saved grid (`default_grid`'s arguments, so a grid is read
+# back as `default_grid(**meta["grid"])`) and of a dataset's JSON sidecar
+GRID = {"count": 0, "start": 0.0, "stop": 0.0}
+_SIDECAR = {"grid": GRID, "provenance": {}}
+
+
 def grid_to_dict(grid: TimeGrid) -> dict:
     return {"start": grid.start, "stop": grid.stop, "count": grid.count}
-
-
-def grid_from_dict(d: dict, path: Path) -> TimeGrid:
-    """The grid that the `grid` entry `d` of the JSON file `path` holds."""
-    _require_keys(d, ("count", "start", "stop"), path, "grid")
-    return default_grid(d["count"], d["start"], d["stop"])
 
 
 def sidecar_path(csv_path: Path) -> Path:
@@ -228,18 +224,14 @@ def write_dataset(dataset: Dataset, csv_path: Path) -> None:
 
 
 def read_dataset(csv_path: Path) -> Dataset:
-    csv_path = Path(csv_path)
-    if not csv_path.exists():
-        raise FileNotFoundError(f"missing artifact: {csv_path}")
-    side_path = sidecar_path(csv_path)
-    side = read_json(side_path, required=("grid",))
-    grid = grid_from_dict(side["grid"], side_path)
     header, data = read_table_csv(csv_path)
+    side = read_json(sidecar_path(csv_path), _SIDECAR)
+    grid = default_grid(**side["grid"])
     if header != dataset_header(grid.count):
         raise ValueError(f"{csv_path}: header does not match dataset format "
                          f"for a {grid.count}-point grid")
     values, labels = _split_labels(csv_path, data, grid.count)
-    return Dataset(grid, values, labels, side.get("provenance", {}))
+    return Dataset(grid, values, labels, side["provenance"])
 
 
 def scores_header(r: int) -> list[str]:

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, mlp
-from .dataio import (FORMAT_VERSION, _checked_values, read_json,
-                     read_table_csv, write_json, write_table_csv)
+from .dataio import (FORMAT_VERSION, read_json, read_table_csv, write_json,
+                     write_table_csv)
 from .seeding import substream
 
 DEFAULT_REPLICATIONS = 10
@@ -202,8 +202,7 @@ def rank_features(report: PfiReport) -> np.ndarray:
 
 
 _CSV_HEADER = ["feature", "replication", "importance"]
-# the `<name>_pfi.json` keys that `load_pfi` reads, each with an example of
-# its JSON kind
+# the shape of `<name>_pfi.json`, as `load_pfi` reads it
 _JSON_KINDS = {"loss": "", "replications": 0, "seed": 0, "n_obs": 0,
                "baseline_loss": 0.0}
 
@@ -239,9 +238,8 @@ def load_pfi(outdir: Path, name: str) -> PfiReport:
     """The report `save_pfi` wrote; the JSON's summaries are not read."""
     outdir = Path(outdir)
     json_path = outdir / f"{name}_pfi.json"
-    meta = read_json(json_path, required=_JSON_KINDS)
-    loss, reps, seed, n_obs, baseline_loss = _checked_values(
-        meta, _JSON_KINDS, json_path)
+    meta = read_json(json_path, _JSON_KINDS)
+    loss, reps = meta["loss"], meta["replications"]
     if loss not in LOSS_KINDS:
         raise ValueError(f"{json_path}: loss must be one of "
                          f"{', '.join(LOSS_KINDS)}, got {loss!r}")
@@ -255,4 +253,5 @@ def load_pfi(outdir: Path, name: str) -> PfiReport:
                          f"feature-major order, {reps} replications each")
     return PfiReport(
         importances=np.ascontiguousarray(rows[:, 2]).reshape(n_feat, reps),
-        baseline_loss=baseline_loss, loss=loss, seed=seed, n_obs=n_obs)
+        baseline_loss=meta["baseline_loss"], loss=loss, seed=meta["seed"],
+        n_obs=meta["n_obs"])

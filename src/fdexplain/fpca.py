@@ -22,15 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (FORMAT_VERSION, _checked_values, grid_from_dict,
-                     grid_to_dict, read_json, read_table_csv, write_json,
-                     write_table_csv)
+from .dataio import (FORMAT_VERSION, GRID, grid_to_dict, read_json,
+                     read_table_csv, write_json, write_table_csv)
 from .errors import NumericalError
-from .sim import Dataset, TimeGrid
+from .sim import Dataset, TimeGrid, default_grid
 
 RANK_TRUNCATION_RATIO = 1e-12
 SIGN_TIE_TOL = 1e-12
 SIGN_CONVENTION = "first-train-signature-nonnegative"
+# the shape of `fpca.json`, as `load_model` reads it
+_JSON_KINDS = {"grid": GRID, "eigenvalues": [0.0], "n_train": 0}
 
 
 @dataclass(frozen=True)
@@ -175,15 +176,12 @@ def _read_grid_table(path: Path, header: list[str],
 def load_model(outdir: Path) -> FpcaModel:
     """The saved model; its eigenvalues set the component count."""
     outdir = Path(outdir)
-    path = outdir / "fpca.json"
-    meta = read_json(path, required=("grid", "eigenvalues", "n_train"))
-    grid = grid_from_dict(meta["grid"], path)
-    eigenvalues, n_train = _checked_values(
-        meta, {"eigenvalues": [0.0], "n_train": 0}, path)
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+    meta = read_json(outdir / "fpca.json", _JSON_KINDS)
+    grid = default_grid(**meta["grid"])
+    eigenvalues = np.asarray(meta["eigenvalues"], dtype=np.float64)
     mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
     eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",
                                _eigenfunctions_header(eigenvalues.size), grid)
     eigenfunctions = np.ascontiguousarray(eig_tab[:, 1:].T)
     return FpcaModel(grid, mean_tab[:, 1].copy(), eigenfunctions, eigenvalues,
-                     n_train)
+                     meta["n_train"])

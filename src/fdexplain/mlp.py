@@ -18,15 +18,15 @@ without MIN_DELTA every epoch is a new best and training runs to
 `max_epochs`.
 """
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from ._config import _override
-from .dataio import (FORMAT_VERSION, _require_keys, read_json, read_table_csv,
-                     write_json, write_table_csv)
+from .dataio import (FORMAT_VERSION, read_json, read_table_csv, write_json,
+                     write_table_csv)
 from .errors import NumericalError
 
 ADAM_EPS = 1e-8
@@ -327,17 +327,20 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
                         np.vstack([b[None, :], W]))
 
 
+# the shape of `mlp.json`, as `load_mlp` reads it; `MlpConfig.from_dict`
+# checks the fields of `config`
+_JSON_KINDS = {"config": {}, "sizes": [0], "feature_mean": [0.0],
+               "feature_scale": [0.0], "passthrough": [False],
+               "log": asdict(TrainingLog([0.0], [0.0]))}
+
+
 def load_mlp(outdir: Path) -> Mlp:
     outdir = Path(outdir)
     path = outdir / "mlp.json"
-    meta = read_json(path, required=(
-        "config", "sizes", "feature_mean", "feature_scale", "passthrough",
-        "log"))
-    _require_keys(meta["log"], [f.name for f in fields(TrainingLog)], path,
-                  "log", exact=True)
+    meta = read_json(path, _JSON_KINDS)
     config = MlpConfig.from_dict(meta["config"])
     sizes = np.asarray(meta["sizes"], dtype=np.int64)
-    if sizes.ndim != 1 or sizes.size < 2:
+    if sizes.size < 2:
         raise ValueError(f"{path}: sizes must list at least 2 layer widths")
     if sizes[1:-1].tolist() != list(config.hidden_sizes):
         raise ValueError(f"{path}: sizes {sizes.tolist()} disagree with "

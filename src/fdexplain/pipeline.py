@@ -41,6 +41,11 @@ TARGET_TASK = {"y1": "classification", "y2": "classification",
 
 DEFAULT_RATIOS = (0.7225, 0.15, 0.1275)
 SPLIT_NAMES = ("train", "test", "validation")
+# the shape of `tables/metrics.json`, as `evaluate_models` writes it
+METRICS_KINDS = {t: dict.fromkeys(SPLIT_NAMES, {
+    "accuracy": 0.0, "f1": 0.0, "f1_degenerate": False}
+    if task == "classification" else {"mse": 0.0, "r2": 0.0})
+    for t, task in TARGET_TASK.items()}
 
 DEFAULT_FIGURES = (
     "heatmap",

@@ -318,9 +318,10 @@ def render_svg(spec: PlotSpec) -> str:
     return "\n".join(_svg_lines(spec)) + "\n"
 
 
-# keys of the JSON metadata line that opens a figure CSV
-_FIGURE_META_KEYS = ("kind", "title", "x_label", "y_label", "series_names",
-                     "has_groups", "group_names", "has_defined", "extras")
+# the shape of the JSON metadata line that opens a figure CSV
+_FIGURE_META = {"kind": "", "title": "", "x_label": "", "y_label": "",
+                "series_names": [""], "has_groups": False,
+                "group_names": [""], "has_defined": False, "extras": {}}
 
 
 def _figure_csv_lines(spec: PlotSpec):
@@ -368,7 +369,7 @@ def load_figure_spec(csv_path: Path) -> PlotSpec:
         first = fh.readline()
     if not first.startswith("# "):
         raise ValueError(f"{csv_path} lacks the figure metadata line")
-    meta = _parse_json(first[2:], csv_path, required=_FIGURE_META_KEYS)
+    meta = _parse_json(first[2:], csv_path, _FIGURE_META)
     header, rows = read_table_csv(csv_path, skiprows=1)
     cols = dict(zip(header, rows.T))
 

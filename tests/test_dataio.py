@@ -210,9 +210,21 @@ def _drop(entry, key):
     (_layer_file, "mlp.json", _drop("log", "best_epoch"),
      "log: missing key 'best_epoch'"),
     (_layer_file, "mlp.json", lambda meta: meta["log"].update(momentum=0.9),
-     "log: unknown key 'momentum'")],
+     "log: unknown key 'momentum'"),
+    (_fpca_file("mean.csv"), "fpca.json", lambda meta: meta["grid"].update(
+        count=None), "grid.count must be an integer, got None"),
+    (_fpca_file("mean.csv"), "fpca.json", lambda meta: meta["grid"].update(
+        count=2.5), "grid.count must be an integer, got 2.5"),
+    (_dataset_file, "d.json", lambda meta: meta["grid"].update(count="x"),
+     "grid.count must be an integer, got 'x'"),
+    (_dataset_file, "d.json", lambda meta: meta.pop("provenance"),
+     "missing key 'provenance'"),
+    (_layer_file, "mlp.json", lambda meta: meta["log"].update(
+        epochs_run="abc"), "log.epochs_run must be an integer, got 'abc'")],
     ids=["dataset-grid-empty", "fpca-grid-key", "fpca-grid-list",
-         "mlp-log-missing", "mlp-log-unknown"])
+         "mlp-log-missing", "mlp-log-unknown", "fpca-grid-count-null",
+         "fpca-grid-count-fraction", "dataset-grid-count-string",
+         "dataset-provenance-missing", "mlp-log-epochs-string"])
 def test_nested_json_keys_checked_by_name(tmp_path, setup, name, edit,
                                           message):
     _, load = setup(tmp_path)
@@ -249,12 +261,17 @@ def test_nested_json_keys_checked_by_name(tmp_path, setup, name, edit,
     (_fpca_file("mean.csv"), "fpca.json", "eigenvalues", "1.0",
      "eigenvalues must be a list, got '1.0'"),
     (_fpca_file("mean.csv"), "fpca.json", "eigenvalues", [1.0, None],
-     "each item of eigenvalues must be a number, got None")],
+     "each item of eigenvalues must be a number, got None"),
+    (_dataset_file, "d.json", "provenance", None,
+     "provenance must be a JSON object, got None"),
+    (_layer_file, "mlp.json", "sizes", [2, None, 1],
+     "each item of sizes must be an integer, got None")],
     ids=["pfi-reps-null", "pfi-reps-string", "pfi-reps-fraction",
          "pfi-seed-bool", "pfi-n-obs-float", "pfi-baseline-string",
          "pfi-loss-null", "pfi-loss-unknown", "fpca-n-train-null",
          "fpca-n-train-fraction", "fpca-eigenvalues-string",
-         "fpca-eigenvalue-null"])
+         "fpca-eigenvalue-null", "dataset-provenance-null",
+         "mlp-sizes-item-null"])
 def test_json_values_of_another_kind_rejected_by_name(tmp_path, setup, name,
                                                       key, value, message):
     _, load = setup(tmp_path)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdexplain import cli, explain, metrics, mlp, pipeline
+from fdexplain import (cli, dataio, explain, fpca, metrics, mlp, pipeline,
+                       viz)
 from fdexplain._version import __version__
 from fdexplain.dataio import (read_dataset, read_json, read_scores,
                               read_table_csv, write_json, write_scores)
@@ -853,13 +854,19 @@ def test_cli_names_a_model_file_with_an_empty_grid(tmp_path, capsys):
         lambda text: json.dumps(dict(json.loads(text), grid={})))
 
 
-@pytest.mark.parametrize("value", [None, "abc", 2.5])
+@pytest.mark.parametrize("entry, key, value", [
+    (None, "n_train", None), (None, "n_train", "abc"), (None, "n_train", 2.5),
+    ("grid", "count", None), ("grid", "count", 2.5)],
+    ids=["None", "abc", "2.5", "grid-count-None", "grid-count-2.5"])
 def test_cli_names_a_model_file_whose_n_train_is_not_an_integer(
-        tmp_path, capsys, value):
-    err = _transform_names_broken_model(
-        tmp_path, capsys,
-        lambda text: json.dumps(dict(json.loads(text), n_train=value)))
-    assert "n_train must be an integer" in err and "Traceback" not in err
+        tmp_path, capsys, entry, key, value):
+    def edit(text):
+        meta = json.loads(text)
+        (meta[entry] if entry else meta)[key] = value
+        return json.dumps(meta)
+    err = _transform_names_broken_model(tmp_path, capsys, edit)
+    name = f"{entry}.{key}" if entry else key
+    assert f"{name} must be an integer" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -877,6 +884,58 @@ def test_cli_report_names_a_pfi_file_with_a_value_of_another_kind(
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{path}: {key} must be" in err
     assert "Traceback" not in err
+
+
+def _key_paths(shape: dict, outer: tuple = ()):
+    """Every key of a loader's shape as a path from the top, nested keys
+    included."""
+    for key, kind in shape.items():
+        yield outer + (key,)
+        if isinstance(kind, dict):
+            yield from _key_paths(kind, outer + (key,))
+
+
+def _cli_reader(command: str):
+    """Run `fdexplain <command> --run <dir>` without `cli.main`'s error
+    handling, so that whatever it raises escapes unchanged."""
+    def read(rundir, path):
+        args = cli.build_parser().parse_args([command, "--run", str(rundir)])
+        args.fn(args)
+    return read
+
+
+@pytest.mark.parametrize("name, shape, read", [
+    ("data/dataset.json", dataio._SIDECAR, _cli_reader("figures")),
+    ("fpca/fpca.json", fpca._JSON_KINDS, _cli_reader("report")),
+    ("models/y3/mlp.json", mlp._JSON_KINDS, _cli_reader("report")),
+    ("pfi/y2_pfi.json", explain._JSON_KINDS, _cli_reader("report")),
+    ("tables/metrics.json", pipeline.METRICS_KINDS, _cli_reader("report")),
+    ("figures/scatter_1_2_y1.csv", viz._FIGURE_META,
+     lambda rundir, path: viz.load_figure_spec(path))],
+    ids=["sidecar", "fpca", "mlp", "pfi", "metrics", "figure"])
+def test_each_json_key_set_to_null_is_refused_by_name(smoke_run, tmp_path,
+                                                      name, shape, read):
+    """Each key of the shape a loader declares, nested keys included, set
+    to null in turn: the loader, or the command that reads the file,
+    raises a ValueError that starts with the file and names the key."""
+    rundir = tmp_path / "run"
+    shutil.copytree(smoke_run[2], rundir)
+    path = rundir / name
+    text = path.read_text()
+    # a figure CSV carries its JSON on the first line, after "# "
+    figure = path.suffix == ".csv"
+    doc, _, rows = text[2:].partition("\n") if figure else (text, "", "")
+    for keys in _key_paths(shape):
+        meta = json.loads(doc)
+        entry = meta
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = None
+        edited = json.dumps(meta)
+        path.write_text(f"# {edited}\n{rows}" if figure else edited)
+        with pytest.raises(ValueError) as info:
+            read(rundir, path)
+        assert str(info.value).startswith(f"{path}: {'.'.join(keys)}"), keys
 
 
 def test_cli_rejects_bad_dataset_path(tmp_path, capsys):

@@ -112,10 +112,15 @@ def test_load_rejects_csv_without_meta(tmp_path):
      + lines[1:], "missing key 'series_names'"),
     (lambda lines: [lines[0].replace('"has_groups"', '"groups"')]
      + lines[1:], "missing key 'has_groups'"),
-    (lambda lines: ["# [1, 2]"] + lines[1:], "not a JSON object")],
+    (lambda lines: ["# [1, 2]"] + lines[1:], "not a JSON object"),
+    (lambda lines: [lines[0].replace('"series_names": ["z", "a", "c"]',
+                                     '"series_names": null')] + lines[1:],
+     "series_names must be a list, got None"),
+    (lambda lines: [lines[0].replace('"title": "t"', '"title": 3')]
+     + lines[1:], "title must be a string, got 3")],
     ids=["metadata-only", "header-only", "series-column-missing",
          "metadata-cut", "series-names-missing", "has-groups-missing",
-         "metadata-not-object"])
+         "metadata-not-object", "series-names-null", "title-number"])
 def test_load_rejects_truncated_figure_csv(tmp_path, cut, message):
     x = np.linspace(0.0, 1.0, 4)
     spec = viz.PlotSpec("group-means", "t", "x", "y", x,
