@@ -9,11 +9,16 @@ Every text artifact of the package (JSON, CSV, SVG, the Markdown report)
 is written by `_write_lines`, the one place that decides encoding, line
 endings, parent-directory creation and the atomic replacement of a file.
 Every JSON artifact is read by `read_json`, which checks each key and the
-kind of its value against the one shape that the file's loader declares.
+kind of its value against the one shape that the file's loader declares;
+every CSV table by `read_table_csv`, which accepts only finite numbers in
+rows as wide as the header. Either refuses a file with an error that
+starts with its path.
 """
 
 import json
 import os
+import warnings
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -81,6 +86,15 @@ def _write_lines(path: Path, lines) -> None:
         raise
 
 
+@contextmanager
+def _in_file(path: Path):
+    """Re-raise a ValueError of the block as one starting with `path`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def write_json(path: Path, obj: dict) -> None:
     _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
@@ -110,12 +124,12 @@ def _checked_json(obj, example: dict, entry: str = "") -> dict:
 
 def _parse_json(text: str, path: Path, example: dict) -> dict:
     """The JSON object in `text` from `path`, checked against `example`."""
-    try:
-        return _checked_json(json.loads(text), example)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with _in_file(path):
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON: {exc}") from None
+        return _checked_json(obj, example)
 
 
 def read_json(path: Path, example: dict = {}) -> dict:
@@ -140,23 +154,29 @@ def write_table_csv(path: Path, header: list[str], rows) -> None:
 
 def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray]:
     """Header and float rows of a CSV written by `write_table_csv` (or one
-    of the labelled writers), below `skiprows` leading lines; a file
-    without data rows is an error."""
+    of the labelled writers), below `skiprows` leading lines. Any rows but
+    a table of finite numbers as wide as the header are refused, naming
+    `path`: no rows, a ragged row, a cell that is no number, nan or inf."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _in_file(path):
         for _ in range(skiprows):
             fh.readline()
         header = fh.readline().strip().split(",")
-        # stops at the first data line; np.loadtxt would warn on none
-        if not any(line.strip() for line in fh):
-            raise ValueError(f"{path}: no data rows below the header")
-    data = np.loadtxt(path, delimiter=",", skiprows=skiprows + 1, ndmin=2,
-                      dtype=np.float64)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: header has {len(header)} columns, "
-                         f"rows have {data.shape[1]}")
+        with warnings.catch_warnings():  # the error below replaces it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64)
+        if data.size == 0:
+            raise ValueError("no data rows below the header")
+        if data.shape[1] != len(header):
+            raise ValueError(f"header has {len(header)} columns, rows have "
+                             f"{data.shape[1]}")
+        if not np.isfinite(data).all():
+            row, col = np.argwhere(~np.isfinite(data))[0]
+            raise ValueError(f"non-finite value in data row {row + 1}, "
+                             f"column {col + 1}")
     return header, data
 
 
@@ -173,13 +193,8 @@ def _write_labelled(csv_path: Path, header: list[str], values: np.ndarray,
 def _split_labels(path: Path, data: np.ndarray,
                   width: int) -> tuple[np.ndarray, LabelSet]:
     """Split a table read back from `_write_labelled` into its `width`
-    value columns and the label columns; every cell must be finite and
-    every y1/y2 cell exactly 0 or 1."""
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"{path}: non-finite value in data row {row + 1}, "
-                         f"column {col + 1}")
+    value columns and the label columns; every y1/y2 cell must be exactly
+    0 or 1."""
     classes = data[:, width:width + 2]
     bad = np.argwhere((classes != 0.0) & (classes != 1.0))
     if bad.size:
@@ -225,8 +240,10 @@ def write_dataset(dataset: Dataset, csv_path: Path) -> None:
 
 def read_dataset(csv_path: Path) -> Dataset:
     header, data = read_table_csv(csv_path)
-    side = read_json(sidecar_path(csv_path), _SIDECAR)
-    grid = default_grid(**side["grid"])
+    side_path = sidecar_path(csv_path)
+    side = read_json(side_path, _SIDECAR)
+    with _in_file(side_path):
+        grid = default_grid(**side["grid"])
     if header != dataset_header(grid.count):
         raise ValueError(f"{csv_path}: header does not match dataset format "
                          f"for a {grid.count}-point grid")

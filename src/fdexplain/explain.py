@@ -17,8 +17,8 @@ features. Zero-one importances are the same on both paths bit for bit;
 squared-error importances can differ in their last bits.
 
 A `PfiReport` is its importance matrix plus the settings it was measured
-under. `load_pfi` reads the matrix from `<name>_pfi.csv`; the summaries
-that `save_pfi` also writes to `<name>_pfi.json` are never read back.
+under: `<name>_pfi.csv` holds the matrix, a row per feature and a column
+per replication, and `<name>_pfi.json` the settings.
 """
 
 from dataclasses import dataclass
@@ -201,26 +201,22 @@ def rank_features(report: PfiReport) -> np.ndarray:
     return order + 1
 
 
-_CSV_HEADER = ["feature", "replication", "importance"]
 # the shape of `<name>_pfi.json`, as `load_pfi` reads it
 _JSON_KINDS = {"loss": "", "replications": 0, "seed": 0, "n_obs": 0,
                "baseline_loss": 0.0}
 
 
-def _cells(n_features: int, replications: int) -> np.ndarray:
-    """The 1-based (feature, replication) columns of `<name>_pfi.csv`."""
-    return np.column_stack([
-        np.repeat(np.arange(1.0, n_features + 1), replications),
-        np.tile(np.arange(1.0, replications + 1), n_features)])
+def _csv_header(replications: int) -> list[str]:
+    return [f"replication_{r + 1}" for r in range(replications)]
 
 
 def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
-    """Persist as `<name>_pfi.csv` (one row per importance) plus a
-    `<name>_pfi.json` of the settings, summaries and ranking."""
+    """Persist the importance matrix as `<name>_pfi.csv`, one row per
+    feature and one column per replication, plus a `<name>_pfi.json` of
+    the settings."""
     outdir = Path(outdir)
-    rows = np.column_stack([_cells(report.n_features, report.replications),
-                            report.importances.ravel()])
-    write_table_csv(outdir / f"{name}_pfi.csv", _CSV_HEADER, rows)
+    write_table_csv(outdir / f"{name}_pfi.csv",
+                    _csv_header(report.replications), report.importances)
     write_json(outdir / f"{name}_pfi.json", {
         "format_version": FORMAT_VERSION,
         "loss": report.loss,
@@ -228,14 +224,13 @@ def save_pfi(report: PfiReport, outdir: Path, name: str) -> None:
         "seed": report.seed,
         "n_obs": report.n_obs,
         "baseline_loss": report.baseline_loss,
+        # never read back; kept for `perfbench/workloads.check_run`
         "mean_importance": [float(v) for v in report.mean_importance],
-        "sd_importance": [float(v) for v in report.sd_importance],
-        "ranking": [int(v) for v in rank_features(report)],
     })
 
 
 def load_pfi(outdir: Path, name: str) -> PfiReport:
-    """The report `save_pfi` wrote; the JSON's summaries are not read."""
+    """The report `save_pfi` wrote, whose summaries come from the matrix."""
     outdir = Path(outdir)
     json_path = outdir / f"{name}_pfi.json"
     meta = read_json(json_path, _JSON_KINDS)
@@ -244,14 +239,10 @@ def load_pfi(outdir: Path, name: str) -> PfiReport:
         raise ValueError(f"{json_path}: loss must be one of "
                          f"{', '.join(LOSS_KINDS)}, got {loss!r}")
     path = outdir / f"{name}_pfi.csv"
-    header, rows = read_table_csv(path)
-    n_feat = rows.shape[0] // reps if reps > 0 else 0  # no row fits reps < 1
-    if header != _CSV_HEADER or not np.array_equal(rows[:, :2],
-                                                   _cells(n_feat, reps)):
-        raise ValueError(f"{path}: expected columns {','.join(_CSV_HEADER)} "
-                         f"and one row per (feature, replication) pair in "
-                         f"feature-major order, {reps} replications each")
-    return PfiReport(
-        importances=np.ascontiguousarray(rows[:, 2]).reshape(n_feat, reps),
-        baseline_loss=meta["baseline_loss"], loss=loss, seed=meta["seed"],
-        n_obs=meta["n_obs"])
+    header, importances = read_table_csv(path)
+    if header != _csv_header(reps):
+        raise ValueError(f"{path}: expected the header replication_1 to "
+                         f"replication_{reps}, one per replication in "
+                         f"{json_path.name}")
+    return PfiReport(importances, meta["baseline_loss"], loss, meta["seed"],
+                     meta["n_obs"])

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (FORMAT_VERSION, GRID, grid_to_dict, read_json,
-                     read_table_csv, write_json, write_table_csv)
+from .dataio import (FORMAT_VERSION, GRID, _in_file, grid_to_dict,
+                     read_json, read_table_csv, write_json, write_table_csv)
 from .errors import NumericalError
 from .sim import Dataset, TimeGrid, default_grid
 
@@ -138,8 +138,8 @@ def save_model(model: FpcaModel, outdir: Path) -> None:
     write_json(outdir / "fpca.json", {
         "format_version": FORMAT_VERSION,
         "grid": grid_to_dict(model.grid),
-        "dt": model.dt,
         "n_train": model.n_train,
+        # never read back; kept for `perfbench/workloads.check_cli`
         "n_components": model.n_components,
         "eigenvalues": [float(v) for v in model.eigenvalues],
         "sign_convention": SIGN_CONVENTION,
@@ -176,8 +176,10 @@ def _read_grid_table(path: Path, header: list[str],
 def load_model(outdir: Path) -> FpcaModel:
     """The saved model; its eigenvalues set the component count."""
     outdir = Path(outdir)
-    meta = read_json(outdir / "fpca.json", _JSON_KINDS)
-    grid = default_grid(**meta["grid"])
+    path = outdir / "fpca.json"
+    meta = read_json(path, _JSON_KINDS)
+    with _in_file(path):
+        grid = default_grid(**meta["grid"])
     eigenvalues = np.asarray(meta["eigenvalues"], dtype=np.float64)
     mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
     eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",

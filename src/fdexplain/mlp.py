@@ -25,8 +25,8 @@ import numpy as np
 
 from . import kernels
 from ._config import _override
-from .dataio import (FORMAT_VERSION, read_json, read_table_csv, write_json,
-                     write_table_csv)
+from .dataio import (FORMAT_VERSION, _in_file, read_json, read_table_csv,
+                     write_json, write_table_csv)
 from .errors import NumericalError
 
 ADAM_EPS = 1e-8
@@ -314,7 +314,6 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
     write_json(outdir / "mlp.json", {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
-        "sizes": [int(s) for s in model.sizes],
         "feature_mean": [float(v) for v in model.feature_mean],
         "feature_scale": [float(v) for v in model.feature_scale],
         "passthrough": [bool(v) for v in model.passthrough],
@@ -325,38 +324,42 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
         write_table_csv(outdir / f"layer_{layer}.csv",
                         [f"unit_{u + 1}" for u in range(b.size)],
                         np.vstack([b[None, :], W]))
+    layer = len(model.sizes) - 1  # drop the layers a deeper network left
+    while (stale := outdir / f"layer_{layer}.csv").exists():
+        stale.unlink()
+        layer += 1
 
 
 # the shape of `mlp.json`, as `load_mlp` reads it; `MlpConfig.from_dict`
 # checks the fields of `config`
-_JSON_KINDS = {"config": {}, "sizes": [0], "feature_mean": [0.0],
-               "feature_scale": [0.0], "passthrough": [False],
-               "log": asdict(TrainingLog([0.0], [0.0]))}
+_JSON_KINDS = {"config": {}, "feature_mean": [0.0], "feature_scale": [0.0],
+               "passthrough": [False], "log": asdict(TrainingLog([0.0], [0.0]))}
 
 
 def load_mlp(outdir: Path) -> Mlp:
+    """The saved network; its input width is `layer_0.csv`'s rows - 1."""
     outdir = Path(outdir)
     path = outdir / "mlp.json"
     meta = read_json(path, _JSON_KINDS)
-    config = MlpConfig.from_dict(meta["config"])
-    sizes = np.asarray(meta["sizes"], dtype=np.int64)
-    if sizes.size < 2:
-        raise ValueError(f"{path}: sizes must list at least 2 layer widths")
-    if sizes[1:-1].tolist() != list(config.hidden_sizes):
-        raise ValueError(f"{path}: sizes {sizes.tolist()} disagree with "
-                         f"config.hidden_sizes {list(config.hidden_sizes)}")
+    with _in_file(path):
+        config = MlpConfig.from_dict(meta["config"])
+    _, first = read_table_csv(outdir / "layer_0.csv")
+    sizes = layer_sizes(first.shape[0] - 1, config)
     for key in ("feature_mean", "feature_scale", "passthrough"):
         if len(meta[key]) != sizes[0]:
             raise ValueError(f"{path}: {key} has {len(meta[key])} entries, "
                              f"expected {sizes[0]}, one per input")
     params = np.empty(n_params(sizes))
     for layer, (W, b) in enumerate(kernels._layer_views(params, sizes)):
-        _, tab = read_table_csv(outdir / f"layer_{layer}.csv")
+        csv_path = outdir / f"layer_{layer}.csv"
+        tab = read_table_csv(csv_path)[1] if layer else first
         if tab.shape != (W.shape[0] + 1, W.shape[1]):
-            raise ValueError(f"layer_{layer}.csv has shape {tab.shape}, "
-                             f"expected {(W.shape[0] + 1, W.shape[1])}")
+            raise ValueError(f"{csv_path}: shape {tab.shape} does not fit "
+                             f"the layer widths {sizes.tolist()}")
         b[:] = tab[0]
         W[:] = tab[1:]
+    if (outdir / f"layer_{sizes.size - 1}.csv").exists():
+        raise ValueError(f"{path}: more layer CSVs than {sizes.tolist()}")
     log = TrainingLog(**meta["log"])
     return Mlp(config, sizes, params,
                np.asarray(meta["feature_mean"], dtype=np.float64),

@@ -26,8 +26,8 @@ import numpy as np
 from . import explain, fpca, metrics, mlp, viz
 from ._config import _override
 from ._version import __version__
-from .dataio import (_write_lines, read_json, write_dataset, write_json,
-                     write_scores, write_table_csv)
+from .dataio import (_in_file, _write_lines, read_json, write_dataset,
+                     write_json, write_scores, write_table_csv)
 from .errors import PipelineError
 from .kernels import BACKEND
 from .seeding import stage_seed
@@ -603,4 +603,6 @@ def run_pipeline(config: RunConfig) -> RunManifest:
 
 
 def load_run_config(path: Path) -> RunConfig:
-    return RunConfig.from_dict(read_json(Path(path)))
+    meta = read_json(Path(path))
+    with _in_file(path):
+        return RunConfig.from_dict(meta)

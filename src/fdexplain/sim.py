@@ -68,6 +68,8 @@ class TimeGrid:
 
 def default_grid(count: int = 1000, start: float = -4.0, stop: float = 0.0) -> TimeGrid:
     """Canonical log-time grid: `count` uniform points on [start, stop]."""
+    if count < 2:
+        raise ValueError(f"grid.count must be >= 2, got {count}")
     return TimeGrid(np.linspace(start, stop, count))
 
 

@@ -35,7 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from fdexplain import pipeline
+from fdexplain import explain, pipeline
 from fdexplain.dataio import read_json
 
 SEEDS = range(40)
@@ -44,10 +44,10 @@ GRID_COUNT = 100
 
 
 def check_margins(pfi: dict) -> dict:
-    """Sampled margin of every ranking check, from each target's saved
-    `<t>_pfi.json` summary (`mean_importance`, `sd_importance`,
-    `replications`). A role check's margin compares the lowest ranked of
-    its components with the rival that would push it out of the top k."""
+    """Sampled margin of every ranking check, from each target's summary
+    (`mean_importance`, `sd_importance`, `replications`). A role check's
+    margin compares the lowest ranked of its components with the rival
+    that would push it out of the top k."""
     margins = {}
     for name, (t, components, k) in pipeline.ROLE_CHECKS.items():
         mean, sd = pfi[t]["mean_importance"], pfi[t]["sd_importance"]
@@ -74,8 +74,8 @@ def sweep_seed(seed: int, workdir: Path) -> dict:
     try:
         pipeline.run_pipeline(config)
         report = read_json(outdir / "report.json")
-        pfi = {t: read_json(outdir / "pfi" / f"{t}_pfi.json")
-               for t in pipeline.TARGETS}
+        reports = {t: explain.load_pfi(outdir / "pfi", t)
+                   for t in pipeline.TARGETS}
         logs = {t: read_json(outdir / "models" / t / "mlp.json")["log"]
                 for t in pipeline.TARGETS}
     finally:
@@ -84,7 +84,10 @@ def sweep_seed(seed: int, workdir: Path) -> dict:
     return {
         "seed": seed,
         "deviations": report["deviations"],
-        "margins": check_margins(pfi),
+        "margins": check_margins({t: {
+            "mean_importance": r.mean_importance.tolist(),
+            "sd_importance": r.sd_importance.tolist(),
+            "replications": r.replications} for t, r in reports.items()}),
         "training": {t: {"epochs_run": log["epochs_run"],
                          "best_epoch": log["best_epoch"],
                          # absent before the stop reason was logged

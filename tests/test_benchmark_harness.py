@@ -3,9 +3,12 @@
 `perfbench/run.py --trace 1` fails an iteration when a pinned public call
 count (`EXPECTED_CALLS`), a PFI evaluation or epoch count, or a stage's
 clock marks disagree with what the program did. A short traced run per
-workload turns those constraints into a test.
+workload turns those constraints into a test. The call shapes the
+harness uses are checked without a run, so the fast tier catches a
+renamed parameter or a changed signature too.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fdexplain import cli, dataio, kernels, mlp, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +39,26 @@ def test_traced_benchmark_run_reports_no_problems(workload):
         assert record["problems"] == [], record
     assert lines[-1]["correct"] is True
     assert lines[-1]["failed"] == 0
+
+
+def test_the_call_shapes_the_harness_uses_still_bind():
+    def bind(fn, *args, **kwargs):
+        inspect.signature(fn).bind(*args, **kwargs)
+
+    # perfbench/micro.py
+    bind(dataio.read_table_csv, "table.csv")
+    bind(dataio.write_table_csv, "table.csv", ["c0"], [[0.0]])
+    bind(mlp.Mlp, *range(7))
+    assert mlp.MlpConfig(standardize=False).standardize is False
+    bind(kernels.adam_epoch, *range(14))
+    # perfbench/tracer.py binds the writers' arguments by these names, and
+    # reads the argument list of `cli.main` by name or position
+    bind(cli.main, argv=["report"])
+    for writer, names in [(dataio.write_json, {"path"}),
+                          (dataio.write_table_csv, {"path", "header", "rows"}),
+                          (dataio.write_dataset, {"csv_path", "dataset"}),
+                          (dataio.write_scores, {"csv_path", "scores"})]:
+        assert names <= set(inspect.signature(writer).parameters), writer
+    # perfbench/worker.py
+    config = pipeline.RunConfig(n=600, grid_count=100, seed=1, outdir="out")
+    assert config.to_dict()["pfi"]["replications"] == config.pfi_replications

@@ -167,10 +167,13 @@ def _layer_file(d):
     return d / "layer_1.csv", lambda: mlp.load_mlp(d)
 
 
-@pytest.mark.parametrize("setup", [
+_TABLE_SETUPS = pytest.mark.parametrize("setup", [
     _scores_file, _dataset_file, _fpca_file("mean.csv"),
     _fpca_file("eigenfunctions.csv"), _pfi_file, _layer_file],
     ids=["scores", "dataset", "mean", "eigenfunctions", "pfi", "layer"])
+
+
+@_TABLE_SETUPS
 def test_header_only_table_rejected_by_name(tmp_path, setup):
     path, load = setup(tmp_path)
     path.write_text(path.read_text().partition("\n")[0] + "\n")
@@ -179,6 +182,36 @@ def test_header_only_table_rejected_by_name(tmp_path, setup):
         with pytest.raises(ValueError, match="no data rows") as info:
             load()
     assert str(path) in str(info.value)
+
+
+def _ragged(cells):
+    # a PFI row that misses a replication, or a one-value row doubled
+    return cells[:-1] if len(cells) > 1 else cells * 2
+
+
+def _text(cells):
+    return ["abc"] + cells[1:]
+
+
+def _nan(cells):
+    return cells[:-1] + ["nan"]
+
+
+@_TABLE_SETUPS
+@pytest.mark.parametrize("fault", [_ragged, _text, _nan],
+                         ids=["ragged", "text", "nan"])
+def test_table_content_faults_rejected_by_name(tmp_path, setup, fault):
+    path, load = setup(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(fault(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load()
+    assert str(info.value).startswith(f"{path}: ")
+    if fault is _nan:
+        width = len(lines[1].split(","))
+        assert str(info.value) == (f"{path}: non-finite value in data row 2, "
+                                   f"column {width}")
 
 
 @pytest.mark.parametrize("setup, name, key", [
@@ -220,11 +253,19 @@ def _drop(entry, key):
     (_dataset_file, "d.json", lambda meta: meta.pop("provenance"),
      "missing key 'provenance'"),
     (_layer_file, "mlp.json", lambda meta: meta["log"].update(
-        epochs_run="abc"), "log.epochs_run must be an integer, got 'abc'")],
+        epochs_run="abc"), "log.epochs_run must be an integer, got 'abc'"),
+    *[(setup, name, lambda meta, c=count: meta["grid"].update(count=c),
+       f"grid.count must be >= 2, got {count}")
+      for setup, name in [(_fpca_file("mean.csv"), "fpca.json"),
+                          (_dataset_file, "d.json")]
+      for count in (1, 0, -3)]],
     ids=["dataset-grid-empty", "fpca-grid-key", "fpca-grid-list",
          "mlp-log-missing", "mlp-log-unknown", "fpca-grid-count-null",
          "fpca-grid-count-fraction", "dataset-grid-count-string",
-         "dataset-provenance-missing", "mlp-log-epochs-string"])
+         "dataset-provenance-missing", "mlp-log-epochs-string",
+         "fpca-grid-count-1", "fpca-grid-count-0", "fpca-grid-count--3",
+         "dataset-grid-count-1", "dataset-grid-count-0",
+         "dataset-grid-count--3"])
 def test_nested_json_keys_checked_by_name(tmp_path, setup, name, edit,
                                           message):
     _, load = setup(tmp_path)
@@ -263,15 +304,12 @@ def test_nested_json_keys_checked_by_name(tmp_path, setup, name, edit,
     (_fpca_file("mean.csv"), "fpca.json", "eigenvalues", [1.0, None],
      "each item of eigenvalues must be a number, got None"),
     (_dataset_file, "d.json", "provenance", None,
-     "provenance must be a JSON object, got None"),
-    (_layer_file, "mlp.json", "sizes", [2, None, 1],
-     "each item of sizes must be an integer, got None")],
+     "provenance must be a JSON object, got None")],
     ids=["pfi-reps-null", "pfi-reps-string", "pfi-reps-fraction",
          "pfi-seed-bool", "pfi-n-obs-float", "pfi-baseline-string",
          "pfi-loss-null", "pfi-loss-unknown", "fpca-n-train-null",
          "fpca-n-train-fraction", "fpca-eigenvalues-string",
-         "fpca-eigenvalue-null", "dataset-provenance-null",
-         "mlp-sizes-item-null"])
+         "fpca-eigenvalue-null", "dataset-provenance-null"])
 def test_json_values_of_another_kind_rejected_by_name(tmp_path, setup, name,
                                                       key, value, message):
     _, load = setup(tmp_path)

@@ -2,12 +2,14 @@
 immutability, the network path against calling `predict`, ranking
 rules."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdexplain import explain, kernels, mlp
+from fdexplain import dataio, explain, kernels, mlp
 from fdexplain.seeding import substream
 
 import oracles
@@ -304,41 +306,49 @@ def test_save_load_round_trip(tmp_path):
 
 
 
-def test_load_rejects_rows_that_miss_a_cell(tmp_path):
+def _saved_report(tmp_path, replications=2):
     rng = np.random.default_rng(4)
-    X = rng.normal(size=(10, 3))
-    y = rng.normal(size=10)
-    report = explain.permutation_importance(lambda Z: Z[:, 0], X, y,
-                                            "squared", replications=2, seed=1)
-    explain.save_pfi(report, tmp_path, "y3")
-    path = tmp_path / "y3_pfi.csv"
-    lines = path.read_text().splitlines()
-    assert [line[:8] for line in lines[1:4]] == \
-        ["1.0,1.0,", "1.0,2.0,", "2.0,1.0,"]
-    # the row count stays right in both cases
-    corruptions = {2: lines[1],                 # (1, 1) duplicated over (1, 2)
-                   3: "0.0" + lines[3][3:]}     # feature 2 rewritten as 0
-    for index, bad in corruptions.items():
-        path.write_text("\n".join(lines[:index] + [bad] + lines[index + 1:])
-                        + "\n")
-        with pytest.raises(ValueError, match="y3_pfi.csv"):
-            explain.load_pfi(tmp_path, "y3")
-
-def test_load_rejects_rows_out_of_order(tmp_path):
-    rng = np.random.default_rng(5)
     X = rng.normal(size=(10, 3))
     report = explain.permutation_importance(lambda Z: Z[:, 0], X,
                                             rng.normal(size=10), "squared",
-                                            replications=2, seed=1)
+                                            replications=replications, seed=1)
     explain.save_pfi(report, tmp_path, "y3")
+    return report
+
+
+def test_saved_table_is_the_importance_matrix(tmp_path):
+    report = _saved_report(tmp_path, replications=4)
+    header, rows = dataio.read_table_csv(tmp_path / "y3_pfi.csv")
+    assert header == [f"replication_{r}" for r in (1, 2, 3, 4)]
+    assert rows.tobytes() == report.importances.tobytes()
+    meta = dataio.read_json(tmp_path / "y3_pfi.json")
+    assert "sd_importance" not in meta and "ranking" not in meta
+
+
+def _long_format(path, report):
+    """The `feature,replication,importance` table of earlier releases."""
+    path.write_text("feature,replication,importance\n" + "".join(
+        f"{j + 1}.0,{r + 1}.0,{v!r}\n"
+        for j, row in enumerate(report.importances.tolist())
+        for r, v in enumerate(row)))
+
+
+def _more_replications(path, report):
+    meta = json.loads(path.with_suffix(".json").read_text())
+    meta["replications"] = 3
+    path.with_suffix(".json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("edit", [_more_replications, _long_format],
+                         ids=["replications", "long-format"])
+def test_load_rejects_a_table_of_another_replication_count(tmp_path, edit):
+    report = _saved_report(tmp_path)
     path = tmp_path / "y3_pfi.csv"
-    lines = path.read_text().splitlines()
-    # every cell is still covered once, but not in the written order
-    lines[1], lines[2] = lines[2], lines[1]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="y3_pfi.csv") as info:
+    edit(path, report)
+    with pytest.raises(ValueError, match="replication_1 to replication_") \
+            as info:
         explain.load_pfi(tmp_path, "y3")
-    assert str(path) in str(info.value)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_load_missing_report_errors(tmp_path):

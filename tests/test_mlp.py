@@ -424,31 +424,35 @@ def test_load_rejects_scaling_of_another_width(tmp_path, key):
         mlp.load_mlp(tmp_path)
 
 
-def test_load_rejects_sizes_without_a_layer(tmp_path):
-    X, y = _toy("regression", n=20, f=2, seed=14)
-    mlp.save_mlp(mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(), max_epochs=2,
-                                               task="regression")), tmp_path)
-    path = tmp_path / "mlp.json"
-    meta = json.loads(path.read_text())
-    for sizes in ([], [2]):
-        meta["sizes"] = sizes
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=r"mlp\.json: sizes must list"):
-            mlp.load_mlp(tmp_path)
-
-
-def test_load_rejects_hidden_sizes_that_disagree_with_sizes(tmp_path):
+@pytest.mark.parametrize("hidden, edited, name", [
+    ((4, 3), [7], "layer_0.csv"), ((4, 3), [4, 3, 2], "layer_2.csv"),
+    ((4, 1), [4], "mlp.json")], ids=["width", "extra-layer", "layer-left"])
+def test_load_rejects_hidden_sizes_that_disagree_with_the_layers(
+        tmp_path, hidden, edited, name):
     X, y = _toy("classification", n=20, f=2, seed=16)
-    mlp.save_mlp(mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(4, 3),
+    mlp.save_mlp(mlp.train(X, y, mlp.MlpConfig(hidden_sizes=hidden,
                                                max_epochs=2)), tmp_path)
     path = tmp_path / "mlp.json"
     meta = json.loads(path.read_text())
-    meta["config"]["hidden_sizes"] = [7]
+    assert "sizes" not in meta
+    meta["config"]["hidden_sizes"] = edited
     path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=r"mlp\.json: sizes \[2, 4, 3, 1\] "
-                                         r"disagree with config\.hidden_sizes "
-                                         r"\[7\]"):
+    with pytest.raises(ValueError) as info:
         mlp.load_mlp(tmp_path)
+    assert str(info.value).startswith(f"{tmp_path / name}: ")
+
+
+def test_a_shallower_network_saved_over_a_deeper_one_loads(tmp_path):
+    X, y = _toy("classification", n=20, f=2, seed=17)
+    mlp.save_mlp(mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(4, 3, 2),
+                                               max_epochs=2)), tmp_path)
+    model = mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(5,), max_epochs=2))
+    mlp.save_mlp(model, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("layer_*.csv")) == [
+        "layer_0.csv", "layer_1.csv"]
+    loaded = mlp.load_mlp(tmp_path)
+    assert loaded.sizes.tolist() == [2, 5, 1]
+    np.testing.assert_array_equal(loaded.params, model.params)
 
 
 def test_load_missing_model_errors(tmp_path):

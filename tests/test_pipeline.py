@@ -886,6 +886,68 @@ def test_cli_report_names_a_pfi_file_with_a_value_of_another_kind(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("models/y1/mlp.json",
+     lambda meta: meta["config"].update(learning_rate=None),
+     "MlpConfig.learning_rate must be a number, got None"),
+    ("models/y1/mlp.json",
+     lambda meta: meta["config"].update(learning_rate=-1.0),
+     "learning rate must be positive"),
+    ("config.json", lambda meta: meta["grid"].update(count=1),
+     "grid_count must be >= 2"),
+    ("config.json", lambda meta: meta.update(ratios=[0.5, 0.3, 0.3]),
+     "ratios must sum to 1 within 1e-12")],
+    ids=["mlp-learning-rate-null", "mlp-learning-rate-negative",
+         "config-grid-count", "config-ratios"])
+def test_cli_report_names_the_file_of_a_bad_config_value(
+        smoke_run, tmp_path, capsys, name, edit, message):
+    rundir = tmp_path / "run"
+    shutil.copytree(smoke_run[2], rundir)
+    path = rundir / name
+    meta = read_json(path)
+    edit(meta)
+    write_json(path, meta)
+    capsys.readouterr()
+    assert cli.main(["report", "--run", str(rundir)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_cli_transform_refuses_a_nan_eigenfunction(smoke_run, tmp_path,
+                                                  capsys):
+    _, _, outdir = smoke_run
+    model = tmp_path / "fpca"
+    shutil.copytree(outdir / "fpca", model)
+    path = model / "eigenfunctions.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rpartition(",")[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "scores.csv"
+    capsys.readouterr()
+    assert cli.main(["transform", "--model", str(model),
+                     "--data", str(outdir / "data" / "test.csv"),
+                     "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: non-finite value in data row 3")
+    assert not out.exists()
+
+
+def test_cli_pfi_refuses_a_nan_weight(smoke_run, tmp_path, capsys):
+    _, _, outdir = smoke_run
+    model = tmp_path / "y1"
+    shutil.copytree(outdir / "models" / "y1", model)
+    path = model / "layer_0.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = "nan," + lines[2].partition(",")[2]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["pfi", "--model", str(model), "--scores",
+                     str(outdir / "scores" / "test.csv"), "--target", "y1",
+                     "--outdir", str(tmp_path / "pfi")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: non-finite value in data row 2, column 1")
+    assert not (tmp_path / "pfi").exists()
+
+
 def _key_paths(shape: dict, outer: tuple = ()):
     """Every key of a loader's shape as a path from the top, nested keys
     included."""
