@@ -20,8 +20,7 @@ from .mlp import Mlp, MlpConfig, gradient_check, load_mlp, save_mlp, train
 from .pipeline import (RunConfig, RunManifest, run_pipeline, split,
                        split_sizes)
 from .sim import (Dataset, LabelSet, SimParams, TimeGrid,
-                  class_conditional_means, default_grid, generate_dataset,
-                  sample_labels)
+                  class_conditional_means, generate_dataset, sample_labels)
 from .viz import (PlotSpec, correlation_heatmap, correlation_matrix,
                   eigenfunction_plot, extreme_score_bundles,
                   group_means_plot, load_figure_spec, mean_pm_eigenfunction,
@@ -38,8 +37,7 @@ __all__ = [
     "Mlp", "MlpConfig", "gradient_check", "load_mlp", "save_mlp", "train",
     "RunConfig", "RunManifest", "run_pipeline", "split", "split_sizes",
     "Dataset", "LabelSet", "SimParams", "TimeGrid",
-    "class_conditional_means", "default_grid", "generate_dataset",
-    "sample_labels",
+    "class_conditional_means", "generate_dataset", "sample_labels",
     "PlotSpec", "correlation_heatmap", "correlation_matrix",
     "eigenfunction_plot", "extreme_score_bundles", "group_means_plot",
     "load_figure_spec", "mean_pm_eigenfunction", "render_svg", "save_figure",

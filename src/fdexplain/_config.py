@@ -1,5 +1,6 @@
 """The one override rule shared by every configuration record."""
 
+import math
 from dataclasses import fields, replace
 
 # the JSON kind of a config value by its Python type; records are absent,
@@ -12,11 +13,13 @@ _KINDS = {bool: "a bool", int: "an integer", float: "a number",
 def _checked(value, default, where: str):
     """`value`, or a ValueError naming `where` unless it has the JSON kind
     of `default`: an integer also stands for a number, and comes back as
-    that float; each item of a list must have the kind of the default's
-    items."""
+    that float, and a number must be finite; each item of a list must have
+    the kind of the default's items."""
     want, got = _KINDS.get(type(default)), _KINDS.get(type(value))
     if want not in (None, got) and (want, got) != ("a number", "an integer"):
         raise ValueError(f"{where} must be {want}, got {value!r}")
+    if want == "a number" and not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
     if want == "a list" and default:
         for item in value:
             _checked(item, default[0], f"each item of {where}")

@@ -12,9 +12,9 @@ from pathlib import Path
 from . import explain, fpca, mlp, pipeline
 from ._config import _override
 from ._version import __version__
-from .dataio import (read_dataset, read_json, read_scores, write_dataset,
-                     write_scores)
-from .sim import SimParams, default_grid, generate_dataset
+from .dataio import (_in_file, read_dataset, read_json, read_scores,
+                     write_dataset, write_scores)
+from .sim import SimParams, TimeGrid, generate_dataset
 
 # `train` flags that override fields of the run's network for --target
 _NETWORK_FIELDS = ("hidden_sizes", "learning_rate", "batch_size",
@@ -24,8 +24,11 @@ _NETWORK_FIELDS = ("hidden_sizes", "learning_rate", "batch_size",
 def _cmd_simulate(args) -> int:
     params = SimParams()
     if args.params:
-        params = SimParams.from_dict(read_json(Path(args.params)))
-    grid = default_grid(args.grid_count, args.grid_start, args.grid_stop)
+        path = Path(args.params)
+        meta = read_json(path)
+        with _in_file(path):
+            params = SimParams.from_dict(meta)
+    grid = TimeGrid(args.grid_count, args.grid_start, args.grid_stop)
     dataset = generate_dataset(args.n, params, args.seed, grid)
     write_dataset(dataset, Path(args.out))
     print(f"wrote {dataset.n} signatures to {args.out}")

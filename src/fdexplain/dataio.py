@@ -9,16 +9,17 @@ Every text artifact of the package (JSON, CSV, SVG, the Markdown report)
 is written by `_write_lines`, the one place that decides encoding, line
 endings, parent-directory creation and the atomic replacement of a file.
 Every JSON artifact is read by `read_json`, which checks each key and the
-kind of its value against the one shape that the file's loader declares;
-every CSV table by `read_table_csv`, which accepts only finite numbers in
-rows as wide as the header. Either refuses a file with an error that
-starts with its path.
+kind of its value against the one shape that the file's loader declares
+and accepts only finite numbers; every CSV table by `read_table_csv`,
+which accepts only finite numbers in rows as wide as the header. Either
+refuses a file with an error that starts with its path.
 """
 
 import json
 import os
 import warnings
 from contextlib import contextmanager
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 import orjson
 
 from ._config import _checked
-from .sim import Dataset, LabelSet, TimeGrid, default_grid
+from .sim import Dataset, LabelSet, TimeGrid
 
 FORMAT_VERSION = 1
 
@@ -164,10 +165,16 @@ def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray
         for _ in range(skiprows):
             fh.readline()
         header = fh.readline().strip().split(",")
+        body = fh.tell()
         with warnings.catch_warnings():  # the error below replaces it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                              dtype=np.float64)
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  dtype=np.float64)
+            except ValueError as exc:
+                fh.seek(body)
+                raise ValueError(_first_fault(fh, len(header))
+                                 or str(exc)) from None
         if data.size == 0:
             raise ValueError("no data rows below the header")
         if data.shape[1] != len(header):
@@ -178,6 +185,25 @@ def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray
             raise ValueError(f"non-finite value in data row {row + 1}, "
                              f"column {col + 1}")
     return header, data
+
+
+def _first_fault(lines, width: int) -> str | None:
+    """The first row of the CSV data `lines` that is not `width` cells
+    wide or holds a cell that `float` cannot read, numbering rows (blank
+    lines, which `np.loadtxt` skips, aside) and columns from 1. None if
+    there is none: `np.loadtxt` also refuses a few cells that `float`
+    reads, such as '1_0', and its own message then stands."""
+    rows = filter(None, (line.rstrip("\n") for line in lines))
+    for row, line in enumerate(rows, 1):
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"data row {row} has {len(cells)} cells, the header has {width}"
+        for col, cell in enumerate(cells, 1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"data row {row}, column {col}: {cell!r} is not a number"
+    return None
 
 
 def _write_labelled(csv_path: Path, header: list[str], values: np.ndarray,
@@ -208,14 +234,10 @@ def _split_labels(path: Path, data: np.ndarray,
         y3=data[:, width + 2].copy())
 
 
-# the shapes of a saved grid (`default_grid`'s arguments, so a grid is read
-# back as `default_grid(**meta["grid"])`) and of a dataset's JSON sidecar
-GRID = {"count": 0, "start": 0.0, "stop": 0.0}
+# the shapes of a saved grid (`TimeGrid`'s fields, so a grid is read back
+# as `TimeGrid(**meta["grid"])`) and of a dataset's JSON sidecar
+GRID = asdict(TimeGrid())
 _SIDECAR = {"grid": GRID, "provenance": {}}
-
-
-def grid_to_dict(grid: TimeGrid) -> dict:
-    return {"start": grid.start, "stop": grid.stop, "count": grid.count}
 
 
 def sidecar_path(csv_path: Path) -> Path:
@@ -233,7 +255,7 @@ def write_dataset(dataset: Dataset, csv_path: Path) -> None:
                     dataset.values, dataset.labels)
     write_json(sidecar_path(csv_path), {
         "format_version": FORMAT_VERSION,
-        "grid": grid_to_dict(dataset.grid),
+        "grid": asdict(dataset.grid),
         "provenance": dataset.provenance,
     })
 
@@ -243,7 +265,7 @@ def read_dataset(csv_path: Path) -> Dataset:
     side_path = sidecar_path(csv_path)
     side = read_json(side_path, _SIDECAR)
     with _in_file(side_path):
-        grid = default_grid(**side["grid"])
+        grid = TimeGrid(**side["grid"])
     if header != dataset_header(grid.count):
         raise ValueError(f"{csv_path}: header does not match dataset format "
                          f"for a {grid.count}-point grid")

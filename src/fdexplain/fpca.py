@@ -16,16 +16,16 @@ product with (first training signature - mean) is non-negative; ties
 (|inner product| <= 1e-12) orient the earliest nonzero grid value positive.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import (FORMAT_VERSION, GRID, _in_file, grid_to_dict,
-                     read_json, read_table_csv, write_json, write_table_csv)
+from .dataio import (FORMAT_VERSION, GRID, _in_file, read_json,
+                     read_table_csv, write_json, write_table_csv)
 from .errors import NumericalError
-from .sim import Dataset, TimeGrid, default_grid
+from .sim import Dataset, TimeGrid
 
 RANK_TRUNCATION_RATIO = 1e-12
 SIGN_TIE_TOL = 1e-12
@@ -48,10 +48,6 @@ class FpcaModel:
         for name in ("mean", "eigenfunctions", "eigenvalues"):
             arr = getattr(self, name)
             arr.flags.writeable = False
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
 
     @property
     def n_components(self) -> int:
@@ -109,7 +105,7 @@ def fit(train: Dataset) -> FpcaModel:
 def transform(model: FpcaModel, data) -> np.ndarray:
     """Project signatures to component scores (one row per signature)."""
     values = _as_values(data, model.grid.count)
-    return (values - model.mean) @ model.eigenfunctions.T * model.dt
+    return (values - model.mean) @ model.eigenfunctions.T * model.grid.dt
 
 
 def inverse_transform(model: FpcaModel, scores: np.ndarray,
@@ -137,7 +133,7 @@ def save_model(model: FpcaModel, outdir: Path) -> None:
     outdir = Path(outdir)
     write_json(outdir / "fpca.json", {
         "format_version": FORMAT_VERSION,
-        "grid": grid_to_dict(model.grid),
+        "grid": asdict(model.grid),
         "n_train": model.n_train,
         # never read back; kept for `perfbench/workloads.check_cli`
         "n_components": model.n_components,
@@ -179,7 +175,7 @@ def load_model(outdir: Path) -> FpcaModel:
     path = outdir / "fpca.json"
     meta = read_json(path, _JSON_KINDS)
     with _in_file(path):
-        grid = default_grid(**meta["grid"])
+        grid = TimeGrid(**meta["grid"])
     eigenvalues = np.asarray(meta["eigenvalues"], dtype=np.float64)
     mean_tab = _read_grid_table(outdir / "mean.csv", ["t", "mean"], grid)
     eig_tab = _read_grid_table(outdir / "eigenfunctions.csv",

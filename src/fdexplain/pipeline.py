@@ -31,7 +31,7 @@ from .dataio import (_in_file, _write_lines, read_json, write_dataset,
 from .errors import PipelineError
 from .kernels import BACKEND
 from .seeding import stage_seed
-from .sim import GROUPINGS, Dataset, SimParams, default_grid, generate_dataset
+from .sim import GROUPINGS, Dataset, SimParams, TimeGrid, generate_dataset
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +57,7 @@ DEFAULT_FIGURES = (
 )
 
 # config JSON sections: key `k` of section `s` holds RunConfig field `s_k`
-_SECTIONS = {"grid": ("count", "start", "stop"),
+_SECTIONS = {"grid": tuple(f.name for f in dataclasses.fields(TimeGrid)),
              "pfi": ("replications", "split")}
 
 # the expected component roles, check name -> (target, components, k): a
@@ -90,9 +90,9 @@ class RunConfig:
     key mixed into that derivation.
     """
     n: int = 2000
-    grid_count: int = 1000
-    grid_start: float = -4.0
-    grid_stop: float = 0.0
+    grid_count: int = TimeGrid.count
+    grid_start: float = TimeGrid.start
+    grid_stop: float = TimeGrid.stop
     sim: SimParams = field(default_factory=SimParams)
     ratios: tuple = DEFAULT_RATIOS
     seed: int = 42
@@ -105,8 +105,7 @@ class RunConfig:
     outdir: str = "run"
 
     def __post_init__(self):
-        if self.grid_count < 2:
-            raise ValueError("grid_count must be >= 2")
+        self.grid  # refuses a grid that `TimeGrid` refuses
         self.ratios = _checked_ratios(self.ratios)
         split_sizes(self.n, self.ratios)
         if set(self.mlp_configs) != set(TARGETS):
@@ -120,6 +119,10 @@ class RunConfig:
         if self.pfi_split not in SPLIT_NAMES:
             raise ValueError(f"pfi_split must be one of {SPLIT_NAMES}")
         self.figures = tuple(self.figures)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return TimeGrid(self.grid_count, self.grid_start, self.grid_stop)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -531,10 +534,8 @@ def run_pipeline(config: RunConfig) -> RunManifest:
 
     with _stage("simulate"):
         seeds["simulate"] = stage_seed(config.seed, "simulate")
-        grid = default_grid(config.grid_count, config.grid_start,
-                            config.grid_stop)
         dataset = generate_dataset(config.n, config.sim, seeds["simulate"],
-                                   grid)
+                                   config.grid)
         write_dataset(dataset, outdir / "data" / "dataset.csv")
         artifacts["dataset"] = "data/dataset.csv"
 

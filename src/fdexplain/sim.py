@@ -17,6 +17,7 @@ many signatures are generated or in what order.
 """
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,45 +33,33 @@ N_BASE_PEAKS = 4
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform, strictly increasing grid of log-time values."""
+    """Uniform grid of `count` log-time points from `start` to `stop`,
+    both included; the three numbers are the whole grid."""
 
-    points: np.ndarray
+    count: int = 1000
+    start: float = -4.0
+    stop: float = 0.0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least 2 points")
-        diffs = np.diff(pts)
-        if np.any(diffs <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        dt = (pts[-1] - pts[0]) / (pts.size - 1)
-        if np.max(np.abs(diffs - dt)) >= 1e-12 * max(abs(dt), 1.0):
-            raise ValueError("grid points must be uniformly spaced")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
+        if self.count < 2:
+            raise ValueError(f"grid.count must be >= 2, got {self.count}")
+        # NaN fails both comparisons; an infinite end, a reversed or empty
+        # span, and a span whose step overflows or underflows fail one
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"grid needs finite start < stop, got start "
+                             f"{self.start!r} and stop {self.stop!r}")
 
-    @property
-    def count(self) -> int:
-        return self.points.size
+    @cached_property
+    def points(self) -> np.ndarray:
+        points = np.linspace(self.start, self.stop, self.count)
+        points.flags.writeable = False
+        return points
 
     @property
     def dt(self) -> float:
-        return float((self.points[-1] - self.points[0]) / (self.points.size - 1))
-
-    @property
-    def start(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def stop(self) -> float:
-        return float(self.points[-1])
-
-
-def default_grid(count: int = 1000, start: float = -4.0, stop: float = 0.0) -> TimeGrid:
-    """Canonical log-time grid: `count` uniform points on [start, stop]."""
-    if count < 2:
-        raise ValueError(f"grid.count must be >= 2, got {count}")
-    return TimeGrid(np.linspace(start, stop, count))
+        return (self.stop - self.start) / (self.count - 1)
 
 
 @dataclass(frozen=True)
@@ -171,10 +160,8 @@ def sample_labels(n: int, seed: int) -> LabelSet:
 
 
 def generate_dataset(n: int, params: SimParams, seed: int,
-                     grid: TimeGrid | None = None) -> Dataset:
+                     grid: TimeGrid = TimeGrid()) -> Dataset:
     """Generate n signatures with labels; fully determined by (n, params, seed, grid)."""
-    if grid is None:
-        grid = default_grid()
     labels = sample_labels(n, stage_seed(seed, "labels"))
     signature_seed = stage_seed(seed, "signatures")
     z = np.empty((n, 3 * N_BASE_PEAKS))

@@ -1,6 +1,9 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from fdexplain import fpca
 from fdexplain.sim import Dataset, LabelSet, TimeGrid
@@ -13,13 +16,23 @@ def make_dataset(values, y1=None, y2=None, y3=None, start: float = -4.0,
     """Wrap a raw (n, m) value array in a Dataset on a uniform grid."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n, m = values.shape
-    grid = TimeGrid(np.linspace(start, stop, m))
+    grid = TimeGrid(m, start, stop)
     labels = LabelSet(
         y1=np.zeros(n, dtype=np.int64) if y1 is None else np.asarray(y1, dtype=np.int64),
         y2=np.zeros(n, dtype=np.int64) if y2 is None else np.asarray(y2, dtype=np.int64),
         y3=np.full(n, 0.5) if y3 is None else np.asarray(y3, dtype=np.float64),
     )
     return Dataset(grid, values, labels)
+
+
+def grid_fields(max_count: int):
+    """Strategy for the (count, start, stop) of a `TimeGrid`: finite
+    start < stop, whose step neither overflows nor underflows."""
+    ends = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=2, unique=True).map(sorted)
+    return st.tuples(st.integers(2, max_count), ends).map(
+        lambda g: (g[0], *g[1])).filter(
+        lambda g: 0.0 < (g[2] - g[1]) / (g[0] - 1) < math.inf)
 
 
 def quadrature_norm(values: np.ndarray, dt: float) -> float:

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from fdexplain import dataio, explain, fpca, mlp, sim
 from fdexplain.sim import LabelSet
 
-from helpers import make_dataset
+from helpers import grid_fields, make_dataset
 from oracles import format_row_ref
 
 
@@ -207,11 +207,12 @@ def test_table_content_faults_rejected_by_name(tmp_path, setup, fault):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as info:
         load()
-    assert str(info.value).startswith(f"{path}: ")
-    if fault is _nan:
-        width = len(lines[1].split(","))
-        assert str(info.value) == (f"{path}: non-finite value in data row 2, "
-                                   f"column {width}")
+    width = len(lines[1].split(","))
+    assert str(info.value) == f"{path}: " + {
+        _ragged: f"data row 2 has {len(fault(lines[1].split(',')))} cells, "
+                 f"the header has {width}",
+        _text: "data row 2, column 1: 'abc' is not a number",
+        _nan: f"non-finite value in data row 2, column {width}"}[fault]
 
 
 @pytest.mark.parametrize("setup, name, key", [
@@ -303,13 +304,18 @@ def test_nested_json_keys_checked_by_name(tmp_path, setup, name, edit,
      "eigenvalues must be a list, got '1.0'"),
     (_fpca_file("mean.csv"), "fpca.json", "eigenvalues", [1.0, None],
      "each item of eigenvalues must be a number, got None"),
+    (_fpca_file("mean.csv"), "fpca.json", "eigenvalues", [1.0, float("inf")],
+     "each item of eigenvalues must be a finite number, got inf"),
+    (_pfi_file, "y3_pfi.json", "baseline_loss", float("nan"),
+     "baseline_loss must be a finite number, got nan"),
     (_dataset_file, "d.json", "provenance", None,
      "provenance must be a JSON object, got None")],
     ids=["pfi-reps-null", "pfi-reps-string", "pfi-reps-fraction",
          "pfi-seed-bool", "pfi-n-obs-float", "pfi-baseline-string",
          "pfi-loss-null", "pfi-loss-unknown", "fpca-n-train-null",
          "fpca-n-train-fraction", "fpca-eigenvalues-string",
-         "fpca-eigenvalue-null", "dataset-provenance-null"])
+         "fpca-eigenvalue-null", "fpca-eigenvalue-inf", "pfi-baseline-nan",
+         "dataset-provenance-null"])
 def test_json_values_of_another_kind_rejected_by_name(tmp_path, setup, name,
                                                       key, value, message):
     _, load = setup(tmp_path)
@@ -380,6 +386,23 @@ def test_scores_round_trip_bit_identical(tmp_path_factory, case):
     assert _bits_equal(back_labels.y3, y3)
     assert np.array_equal(back_labels.y1, labels.y1)
     assert np.array_equal(back_labels.y2, labels.y2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grid_fields(2000).map(lambda g: sim.TimeGrid(*g)))
+@example(grid=sim.TimeGrid(2, -0.0, 5e-324))
+@example(grid=sim.TimeGrid(2000, -8.9e307, 8.9e307))
+def test_grid_round_trip_is_identity(tmp_path_factory, grid):
+    d = tmp_path_factory.getbasetemp() / "grid_round_trip"
+    dataio.write_dataset(make_dataset(np.ones((2, grid.count)),
+                                      start=grid.start, stop=grid.stop),
+                         d / "d.csv")
+    fpca.save_model(fpca.FpcaModel(grid, np.zeros(grid.count),
+                                   np.zeros((1, grid.count)), np.ones(1), 2),
+                    d)
+    for back in (dataio.read_dataset(d / "d.csv").grid,
+                 fpca.load_model(d).grid):
+        assert back == grid and _bits_equal(back.points, grid.points)
 
 
 # the nextafter neighbours of the bounds of repr's positional range,
@@ -453,7 +476,7 @@ def test_table_column_count_mismatch(tmp_path):
 
 def test_params_from_sidecar(tmp_path):
     params = sim.SimParams(noise_sd=0.05, y2_gain=0.9)
-    ds = sim.generate_dataset(3, params, seed=11, grid=sim.default_grid(20))
+    ds = sim.generate_dataset(3, params, seed=11, grid=sim.TimeGrid(20))
     path = tmp_path / "d.csv"
     dataio.write_dataset(ds, path)
     side = dataio.read_json(dataio.sidecar_path(path))

@@ -178,7 +178,7 @@ def test_inverse_transform_k_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_variance_explained_fractions():
-    grid = TimeGrid(np.linspace(0.0, 1.0, 6))
+    grid = TimeGrid(6, 0.0, 1.0)
     model = fpca.FpcaModel(grid, np.zeros(6), np.zeros((2, 6)),
                            np.array([3.0, 1.0]), n_train=3)
     fractions, cumulative = fpca.variance_explained(model)
@@ -187,7 +187,7 @@ def test_variance_explained_fractions():
 
 
 def test_variance_explained_degenerate_error():
-    grid = TimeGrid(np.linspace(0.0, 1.0, 6))
+    grid = TimeGrid(6, 0.0, 1.0)
     model = fpca.FpcaModel(grid, np.zeros(6), np.zeros((1, 6)),
                            np.array([0.0]), n_train=2)
     with pytest.raises(ValueError, match="no positive eigenvalues"):

@@ -19,7 +19,7 @@ from fdexplain.dataio import (read_dataset, read_json, read_scores,
 from fdexplain.errors import PipelineError
 from fdexplain.sim import SimParams
 
-from helpers import make_dataset
+from helpers import grid_fields, make_dataset
 from oracles import format_row_ref, ranking_checks_ref
 
 STAGES = ("simulate", "split", "fpca", "transform", "train", "metrics",
@@ -125,7 +125,7 @@ def test_split_too_small():
 def test_runconfig_validation():
     with pytest.raises(ValueError, match="empty split"):
         pipeline.RunConfig(n=2)
-    with pytest.raises(ValueError, match="grid_count"):
+    with pytest.raises(ValueError, match="grid.count must be >= 2, got 1"):
         pipeline.RunConfig(grid_count=1)
     with pytest.raises(ValueError, match="positive fractions"):
         pipeline.RunConfig(ratios=(0.8, 0.3, -0.1))
@@ -264,10 +264,14 @@ def _networks():
         standardize=st.booleans()) for t in pipeline.TARGETS})
 
 
+def _run_config(grid, **fields) -> pipeline.RunConfig:
+    count, start, stop = grid
+    return pipeline.RunConfig(grid_count=count, grid_start=start,
+                              grid_stop=stop, **fields)
+
+
 _run_configs = st.builds(
-    pipeline.RunConfig,
-    n=st.integers(20, 10**6), grid_count=st.integers(2, 10**5),
-    grid_start=_finite, grid_stop=_finite,
+    _run_config, grid=grid_fields(10**5), n=st.integers(20, 10**6),
     sim=st.builds(SimParams, **{
         f.name: (st.tuples(*[_positive] * 4) if f.name in _PEAK_FIELDS
                  else st.floats(0.0, 10.0))
@@ -871,7 +875,7 @@ def test_cli_names_a_model_file_whose_n_train_is_not_an_integer(
 
 @pytest.mark.parametrize("key, value", [
     ("replications", None), ("replications", "abc"), ("replications", 2.5),
-    ("loss", "hinge")])
+    ("loss", "hinge"), ("baseline_loss", float("nan"))])
 def test_cli_report_names_a_pfi_file_with_a_value_of_another_kind(
         smoke_run, tmp_path, capsys, key, value):
     _, _, outdir = smoke_run
@@ -894,11 +898,18 @@ def test_cli_report_names_a_pfi_file_with_a_value_of_another_kind(
      lambda meta: meta["config"].update(learning_rate=-1.0),
      "learning rate must be positive"),
     ("config.json", lambda meta: meta["grid"].update(count=1),
-     "grid_count must be >= 2"),
+     "grid.count must be >= 2, got 1"),
+    ("config.json", lambda meta: meta["grid"].update(start=0.0, stop=-4.0),
+     "grid needs finite start < stop, got start 0.0 and stop -4.0"),
+    ("config.json", lambda meta: meta["grid"].update(start=float("nan")),
+     "config.grid.start must be a finite number, got nan"),
+    ("config.json", lambda meta: meta["grid"].update(stop=float("inf")),
+     "config.grid.stop must be a finite number, got inf"),
     ("config.json", lambda meta: meta.update(ratios=[0.5, 0.3, 0.3]),
      "ratios must sum to 1 within 1e-12")],
     ids=["mlp-learning-rate-null", "mlp-learning-rate-negative",
-         "config-grid-count", "config-ratios"])
+         "config-grid-count", "config-grid-reversed", "config-grid-start-nan",
+         "config-grid-stop-inf", "config-ratios"])
 def test_cli_report_names_the_file_of_a_bad_config_value(
         smoke_run, tmp_path, capsys, name, edit, message):
     rundir = tmp_path / "run"
@@ -998,6 +1009,49 @@ def test_each_json_key_set_to_null_is_refused_by_name(smoke_run, tmp_path,
         with pytest.raises(ValueError) as info:
             read(rundir, path)
         assert str(info.value).startswith(f"{path}: {'.'.join(keys)}"), keys
+
+
+def test_cli_run_refuses_a_reversed_grid_before_writing(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    write_json(path, {"grid": {"start": 0.0, "stop": -4.0}})
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path),
+                     "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: grid needs finite start < stop, got start 0.0 and "
+        f"stop -4.0\n")
+    assert not outdir.exists()
+
+
+def test_cli_split_names_a_sidecar_with_a_nan_grid_start(tmp_path, capsys):
+    data = tmp_path / "dataset.csv"
+    assert cli.main(["simulate", "--n", "20", "--grid-count", "10",
+                     "-o", str(data)]) == 0
+    sidecar = dataio.sidecar_path(data)
+    meta = read_json(sidecar)
+    meta["grid"]["start"] = float("nan")
+    write_json(sidecar, meta)
+    capsys.readouterr()
+    assert cli.main(["split", "--data", str(data),
+                     "--outdir", str(tmp_path / "splits")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {sidecar}: grid.start must be a finite number, got nan\n")
+    assert not (tmp_path / "splits").exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"noise_sd": None}, "SimParams.noise_sd must be a number, got None"),
+    ({"noise_sd": -1.0}, "noise_sd must be non-negative")],
+    ids=["null", "negative"])
+def test_cli_simulate_names_a_params_file_with_a_bad_value(
+        tmp_path, capsys, params, message):
+    path = tmp_path / "params.json"
+    write_json(path, params)
+    out = tmp_path / "dataset.csv"
+    assert cli.main(["simulate", "--n", "5", "--params", str(path),
+                     "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_dataset_path(tmp_path, capsys):

@@ -1,19 +1,21 @@
 """Simulator contracts: determinism, label effects, grouping summaries."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fdexplain.errors import NonFiniteError
 from fdexplain.seeding import stage_seed, substream
 from fdexplain.sim import (INTENSITY_FLOOR, Dataset, LabelSet, SimParams,
-                           TimeGrid, class_conditional_means, default_grid,
+                           TimeGrid, class_conditional_means,
                            generate_dataset, sample_labels)
 
 import helpers
 import oracles
 
 NOISELESS = SimParams().noiseless()
-SMALL_GRID = default_grid(200)
+SMALL_GRID = TimeGrid(200)
 
 
 def _one(y1: int, y2: int, y3: float, params: SimParams = NOISELESS,
@@ -27,21 +29,30 @@ def _one(y1: int, y2: int, y3: float, params: SimParams = NOISELESS,
 # ---------------------------------------------------------------------------
 
 def test_default_grid_shape():
-    grid = default_grid()
-    assert grid.count == 1000
-    assert grid.start == -4.0 and grid.stop == 0.0
+    grid = TimeGrid()
+    assert grid == TimeGrid(1000, -4, 0) and type(grid.start) is float
     assert grid.dt == pytest.approx(4.0 / 999)
+    assert grid.points.tobytes() == np.linspace(-4.0, 0.0, 1000).tobytes()
+    assert grid.points[0] == grid.start and grid.points[-1] == grid.stop
+    assert not grid.points.flags.writeable
     spacing = np.diff(grid.points)
     assert np.max(np.abs(spacing - grid.dt)) < 1e-12
 
 
 def test_grid_rejects_bad_points():
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([0.0, 1.0, 1.5]))  # non-uniform
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([0.0, -1.0, -2.0]))  # decreasing
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([1.0]))  # too short
+    for count, start, stop, message in [
+            (1, -4.0, 0.0, "grid.count must be >= 2, got 1"),
+            (0, -4.0, 0.0, "grid.count must be >= 2, got 0"),
+            (10, 0.0, -4.0, "grid needs finite start < stop, got start 0.0 "
+                            "and stop -4.0"),
+            (10, 1.0, 1.0, "got start 1.0 and stop 1.0"),
+            (10, float("nan"), 0.0, "got start nan and stop 0.0"),
+            (10, -4.0, float("inf"), "got start -4.0 and stop inf"),
+            # the step overflows, or underflows to zero
+            (10, -1e308, 1e308, "got start -1e+308 and stop 1e+308"),
+            (3, 0.0, 5e-324, "got start 0.0 and stop 5e-324")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TimeGrid(count, start, stop)
 
 
 def test_sim_params_validation():
@@ -192,7 +203,7 @@ def test_dataset_subset_reproducible():
 def test_dataset_rows_match_one_signature_reference(count, seed):
     # row i is the one-signature generator fed substream i of the
     # "signatures" stage stream, bit for bit
-    grid = default_grid(count)
+    grid = TimeGrid(count)
     ds = generate_dataset(6, SimParams(), seed=seed, grid=grid)
     signature_seed = stage_seed(seed, "signatures")
     for i in range(ds.n):
@@ -228,7 +239,7 @@ def test_subset_keeps_rows():
 
 
 def test_dataset_shape_validation():
-    grid = default_grid(10)
+    grid = TimeGrid(10)
     labels = LabelSet(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64),
                       np.full(2, 0.5))
     with pytest.raises(ValueError):

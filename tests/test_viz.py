@@ -16,7 +16,7 @@ from helpers import make_dataset
 
 @pytest.fixture(scope="module")
 def smoke():
-    grid = sim.default_grid(40)
+    grid = sim.TimeGrid(40)
     ds = sim.generate_dataset(30, sim.SimParams(), seed=1, grid=grid)
     model = fpca.fit(ds)
     scores = fpca.transform(model, ds)
@@ -376,7 +376,7 @@ def test_heatmap_values_bounded(smoke):
 # ---------------------------------------------------------------------------
 
 def test_group_means_quartiles_give_twelve_series():
-    grid = sim.default_grid(30)
+    grid = sim.TimeGrid(30)
     ds = sim.generate_dataset(40, sim.SimParams(), seed=3, grid=grid)
     spec = viz.group_means_plot(ds, "by-y3-quartile")
     names = [s.name for s in spec.series]
