@@ -26,6 +26,16 @@ def _checked(value, default, where: str):
     return float(value) if (want, got) == ("a number", "an integer") else value
 
 
+def _float_fields(record) -> None:
+    """Store an integer (not a bool) given for a field of `record` declared
+    `float` as that float, so that records of one run serialize and digest
+    alike however they were built."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type is float and type(value) is int:
+            object.__setattr__(record, f.name, float(value))
+
+
 def _override(base, changes: dict, record: str):
     """`base` with the values in `changes` in place of its own.
 

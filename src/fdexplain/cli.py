@@ -96,7 +96,7 @@ def _cmd_figures(args) -> int:
     train_ds = read_dataset(rundir / "data" / "train.csv")
     model = fpca.load_model(rundir / "fpca")
     eval_scores, eval_labels = read_scores(
-        rundir / "scores" / f"{config.pfi_split}.csv")
+        rundir / "scores" / f"{pipeline.EVAL_SPLIT}.csv")
     paths = pipeline.emit_figures(config, rundir, dataset, train_ds, model,
                                   eval_scores, eval_labels)
     print(f"emitted {len(paths) // 2} figures to {rundir / 'figures'}")

@@ -24,11 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from ._config import _override
+from ._config import _float_fields, _override
 from .dataio import (FORMAT_VERSION, _in_file, read_json, read_table_csv,
                      write_json, write_table_csv)
 from .errors import NumericalError
 
+# Adam's published defaults (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # smallest validation-loss drop that resets the patience counter; fixed
 # before measuring, not tuned
@@ -46,8 +49,6 @@ class MlpConfig:
     hidden_sizes: tuple[int, ...] = (50, 40, 30)
     task: str = "classification"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 64
     max_epochs: int = 500
     patience: int = 20
@@ -56,6 +57,7 @@ class MlpConfig:
     standardize: bool = True
 
     def __post_init__(self):
+        _float_fields(self)
         object.__setattr__(self, "hidden_sizes",
                            tuple(int(h) for h in self.hidden_sizes))
         if any(h < 1 for h in self.hidden_sizes):
@@ -236,8 +238,8 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
         order = rng.permutation(X_fit.shape[0])
         train_loss, step = kernels.adam_epoch(
             params, m1, m2, step, sizes, X_fit, y_fit, order,
-            config.batch_size, config.learning_rate, config.beta1,
-            config.beta2, ADAM_EPS, config.task)
+            config.batch_size, config.learning_rate, ADAM_BETA1, ADAM_BETA2,
+            ADAM_EPS, config.task)
         if not np.isfinite(train_loss):
             raise NumericalError(
                 f"non-finite training loss {train_loss} at epoch {epoch}")

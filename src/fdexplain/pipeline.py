@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explain, fpca, metrics, mlp, viz
-from ._config import _override
+from ._config import _float_fields, _override
 from ._version import __version__
 from .dataio import (_in_file, _write_lines, read_json, write_dataset,
                      write_json, write_scores, write_table_csv)
@@ -41,6 +41,8 @@ TARGET_TASK = {"y1": "classification", "y2": "classification",
 
 DEFAULT_RATIOS = (0.7225, 0.15, 0.1275)
 SPLIT_NAMES = ("train", "test", "validation")
+# the held-out split that PFI and the score figures evaluate
+EVAL_SPLIT = "test"
 # the shape of `tables/metrics.json`, as `evaluate_models` writes it
 METRICS_KINDS = {t: dict.fromkeys(SPLIT_NAMES, {
     "accuracy": 0.0, "f1": 0.0, "f1_degenerate": False}
@@ -58,7 +60,7 @@ DEFAULT_FIGURES = (
 
 # config JSON sections: key `k` of section `s` holds RunConfig field `s_k`
 _SECTIONS = {"grid": tuple(f.name for f in dataclasses.fields(TimeGrid)),
-             "pfi": ("replications", "split")}
+             "pfi": ("replications",)}
 
 # the expected component roles, check name -> (target, components, k): a
 # check passes when every listed component ranks within the target's top k
@@ -98,16 +100,18 @@ class RunConfig:
     seed: int = 42
     mlp_configs: dict = field(default_factory=_default_mlp_configs)
     pfi_replications: int = explain.DEFAULT_REPLICATIONS
-    pfi_split: str = "test"
     figures: tuple = DEFAULT_FIGURES
-    bundle_size: int = viz.DEFAULT_BUNDLE_SIZE
-    heatmap_stride: int = viz.DEFAULT_HEATMAP_STRIDE
     outdir: str = "run"
 
     def __post_init__(self):
+        _float_fields(self)
         self.grid  # refuses a grid that `TimeGrid` refuses
         self.ratios = _checked_ratios(self.ratios)
-        split_sizes(self.n, self.ratios)
+        n_train = split_sizes(self.n, self.ratios)[0]
+        self.figures = tuple(self.figures)
+        # refuses a figure list the run cannot finish
+        if "bundles" in [_parse_figure(entry)[0] for entry in self.figures]:
+            viz._check_bundle_size(n_train, viz.DEFAULT_BUNDLE_SIZE)
         if set(self.mlp_configs) != set(TARGETS):
             raise ValueError(f"mlp_configs must cover exactly {TARGETS}")
         for t in TARGETS:
@@ -116,9 +120,6 @@ class RunConfig:
                                  f"{TARGET_TASK[t]!r}")
         if self.pfi_replications < 1:
             raise ValueError("pfi_replications must be >= 1")
-        if self.pfi_split not in SPLIT_NAMES:
-            raise ValueError(f"pfi_split must be one of {SPLIT_NAMES}")
-        self.figures = tuple(self.figures)
 
     @property
     def grid(self) -> TimeGrid:
@@ -306,9 +307,8 @@ def _parse_figure(entry: str) -> tuple[str, object]:
     raise ValueError(f"unknown figure entry {entry!r}")
 
 
-def build_figure(entry: str, config: RunConfig, dataset: Dataset,
-                 train_ds: Dataset, model, eval_scores: np.ndarray,
-                 eval_labels) -> viz.PlotSpec:
+def build_figure(entry: str, dataset: Dataset, train_ds: Dataset, model,
+                 eval_scores: np.ndarray, eval_labels) -> viz.PlotSpec:
     """Construct the PlotSpec for one figure-list entry.
 
     Entries: `heatmap`, `groups:<grouping>`, `eigenfunction:<j>`,
@@ -317,7 +317,7 @@ def build_figure(entry: str, config: RunConfig, dataset: Dataset,
     """
     head, arg = _parse_figure(entry)
     if head == "heatmap":
-        return viz.correlation_heatmap(dataset, config.heatmap_stride)
+        return viz.correlation_heatmap(dataset)
     if head == "groups":
         return viz.group_means_plot(dataset, arg)
     if head == "eigenfunction":
@@ -325,8 +325,7 @@ def build_figure(entry: str, config: RunConfig, dataset: Dataset,
     if head == "mean-pm":
         return viz.mean_pm_eigenfunction(model, arg)
     if head == "bundles":
-        return viz.extreme_score_bundles(model, train_ds, arg,
-                                         config.bundle_size)
+        return viz.extreme_score_bundles(model, train_ds, arg)
     components, target = arg
     return viz.score_scatter(eval_scores, _target_vector(eval_labels, target),
                              components, target_name=target)
@@ -339,8 +338,8 @@ def emit_figures(config: RunConfig, outdir: Path, dataset: Dataset,
     figdir = Path(outdir) / "figures"
     paths = {}
     for entry in config.figures:
-        spec = build_figure(entry, config, dataset, train_ds, model,
-                            eval_scores, eval_labels)
+        spec = build_figure(entry, dataset, train_ds, model, eval_scores,
+                            eval_labels)
         name = _figure_name(entry)
         svg_path, csv_path = viz.save_figure(spec, figdir, name)
         paths[f"figure_{name}_svg"] = str(svg_path.relative_to(outdir))
@@ -507,10 +506,6 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     artifacts completed so far, then raises PipelineError naming the
     stage.
     """
-    # refuse a figure list the run cannot finish before writing anything
-    if "bundles" in [_parse_figure(entry)[0] for entry in config.figures]:
-        viz._check_bundle_size(split_sizes(config.n, config.ratios)[0],
-                               config.bundle_size)
     outdir = Path(config.outdir)
     write_json(outdir / "config.json", config.to_dict())
     run = RunManifest(schema_version=SCHEMA_VERSION, tool_version=__version__,
@@ -582,8 +577,8 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         for target in TARGETS:
             seed = stage_seed(config.seed, f"pfi-{target}")
             seeds[f"pfi-{target}"] = seed
-            pfi[target] = compute_pfi(mlps[target], scores[config.pfi_split],
-                                      splits[config.pfi_split].labels, target,
+            pfi[target] = compute_pfi(mlps[target], scores[EVAL_SPLIT],
+                                      splits[EVAL_SPLIT].labels, target,
                                       config.pfi_replications, seed,
                                       outdir / "pfi")
             artifacts[f"pfi_{target}"] = f"pfi/{target}_pfi.csv"
@@ -596,8 +591,8 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     with _stage("figures"):
         artifacts.update(emit_figures(config, outdir, dataset,
                                       splits["train"], model,
-                                      scores[config.pfi_split],
-                                      splits[config.pfi_split].labels))
+                                      scores[EVAL_SPLIT],
+                                      splits[EVAL_SPLIT].labels))
 
     write_json(outdir / "manifest.json", run.to_dict())
     return run

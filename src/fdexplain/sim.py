@@ -16,13 +16,14 @@ Generation is deterministic: signature ``i`` draws from a stream keyed by
 many signatures are generated or in what order.
 """
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from ._config import _override
+from ._config import _float_fields, _override
 from .errors import NonFiniteError
 from .seeding import stage_seed, substream
 
@@ -41,8 +42,7 @@ class TimeGrid:
     stop: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
+        _float_fields(self)
         if self.count < 2:
             raise ValueError(f"grid.count must be >= 2, got {self.count}")
         # NaN fails both comparisons; an infinite end, a reversed or empty
@@ -50,6 +50,13 @@ class TimeGrid:
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"grid needs finite start < stop, got start "
                              f"{self.start!r} and stop {self.stop!r}")
+        # a step no wider than the float spacing at the ends would give
+        # points that repeat or fall
+        spacing = math.ulp(max(abs(self.start), abs(self.stop)))
+        if self.dt <= spacing:
+            raise ValueError(f"grid step {self.dt!r} from start "
+                             f"{self.start!r} to stop {self.stop!r} must "
+                             f"exceed the float spacing {spacing!r}")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -83,6 +90,7 @@ class SimParams:
     noise_sd: float = 0.02
 
     def __post_init__(self):
+        _float_fields(self)
         for name in ("peak_centers", "peak_widths", "peak_amplitudes"):
             vals = tuple(float(v) for v in getattr(self, name))
             if len(vals) != N_BASE_PEAKS:

@@ -288,8 +288,8 @@ def train_ref(scores, targets, config):
         order = rng.permutation(X_fit.shape[0])
         train_loss, step = kernels.adam_epoch(
             params, m1, m2, step, sizes, X_fit, y_fit, order,
-            config.batch_size, config.learning_rate, config.beta1,
-            config.beta2, mlp.ADAM_EPS, task)
+            config.batch_size, config.learning_rate, mlp.ADAM_BETA1,
+            mlp.ADAM_BETA2, mlp.ADAM_EPS, task)
         if not np.isfinite(train_loss):
             raise NumericalError(
                 f"non-finite training loss {train_loss} at epoch {epoch}")

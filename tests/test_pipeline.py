@@ -3,6 +3,7 @@ artifact layout, reproducibility, and the CLI."""
 
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from fdexplain._version import __version__
 from fdexplain.dataio import (read_dataset, read_json, read_scores,
                               read_table_csv, write_json, write_scores)
 from fdexplain.errors import PipelineError
-from fdexplain.sim import SimParams
+from fdexplain.sim import GROUPINGS, SimParams, TimeGrid
 
 from helpers import grid_fields, make_dataset
 from oracles import format_row_ref, ranking_checks_ref
@@ -138,8 +139,6 @@ def test_runconfig_validation():
             t: _small_mlp("classification") for t in pipeline.TARGETS})
     with pytest.raises(ValueError, match="pfi_replications"):
         pipeline.RunConfig(pfi_replications=0)
-    with pytest.raises(ValueError, match="pfi_split"):
-        pipeline.RunConfig(pfi_split="dev")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -163,6 +162,20 @@ def test_integer_for_a_float_field_is_stored_as_a_float(tmp_path):
         pipeline.RunConfig())
     write_json(tmp_path / "config.json", same.to_dict())
     assert '"start": -4.0' in (tmp_path / "config.json").read_text()
+    # built in Python, an integer is stored as that float too
+    built = pipeline.RunConfig(grid_start=-4, mlp_configs=dict(
+        pipeline.RunConfig().mlp_configs,
+        y1=mlp.MlpConfig(learning_rate=1, val_fraction=0)))
+    assert pipeline.config_digest(pipeline.RunConfig(grid_start=-4)) == (
+        pipeline.config_digest(pipeline.RunConfig()))
+    for record, name in [(built, "grid_start"),
+                         (built.mlp_configs["y1"], "learning_rate"),
+                         (built.mlp_configs["y1"], "val_fraction"),
+                         (SimParams(noise_sd=0), "noise_sd"),
+                         (built.grid, "start"), (TimeGrid(5, 0, 1), "stop")]:
+        assert type(getattr(record, name)) is float, name
+    # a bool is not taken for an integer
+    assert mlp.MlpConfig(learning_rate=True).learning_rate is True
 
 
 def test_run_refuses_an_integer_too_large_for_a_float(tmp_path, capsys):
@@ -234,21 +247,50 @@ def test_config_values_need_the_json_kind_of_their_default(
     assert not (tmp_path / "run").exists()
 
 
+def _leaf_keys(d: dict, outer: str = ""):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{outer}{key}.")
+        else:
+            yield outer + key
+
+
+def test_the_config_surface_is_this_list():
+    """Every setting a run config holds. A new setting shows up here as an
+    edit to these lists."""
+    d = pipeline.RunConfig().to_dict()
+    networks = d.pop("mlp")
+    assert sorted(_leaf_keys(d)) == [
+        "figures", "grid.count", "grid.start", "grid.stop", "n", "outdir",
+        "pfi.replications", "ratios", "schema_version", "seed",
+        "sim_params.amp_jitter_sd", "sim_params.baseline_decay",
+        "sim_params.baseline_intensity", "sim_params.center_jitter_sd",
+        "sim_params.noise_sd", "sim_params.peak_amplitudes",
+        "sim_params.peak_centers", "sim_params.peak_widths",
+        "sim_params.width_jitter_sd", "sim_params.y1_boost_gain",
+        "sim_params.y1_first_peak_shift", "sim_params.y2_gain",
+        "sim_params.y3_gain", "sim_params.y3_timing_span"]
+    network_fields = [f.name for f in dataclasses.fields(mlp.MlpConfig)]
+    assert network_fields == [
+        "hidden_sizes", "task", "learning_rate", "batch_size", "max_epochs",
+        "patience", "val_fraction", "seed", "standardize"]
+    assert {t: sorted(c) for t, c in networks.items()} == dict.fromkeys(
+        pipeline.TARGETS, sorted(network_fields))
+
+
 def test_partial_network_entry_overrides_the_runs_network():
     networks = pipeline.RunConfig().mlp_configs
     config = pipeline.RunConfig.from_dict(
         {"mlp": {"y1": {"hidden_sizes": [50, 40, 30]},
                  "y3": {"max_epochs": 50}},
-         "grid": {"stop": -1.0}, "pfi": {"split": "validation"}})
+         "grid": {"stop": -1.0}, "pfi": {"replications": 7}})
     assert config.mlp_configs == dict(
         networks, y3=dataclasses.replace(networks["y3"], max_epochs=50))
     assert (config.grid_count, config.grid_start, config.grid_stop) == (
         1000, -4.0, -1.0)
-    assert (config.pfi_replications, config.pfi_split) == (
-        pipeline.RunConfig().pfi_replications, "validation")
+    assert config.pfi_replications == 7
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=1e-6, max_value=1e6)
 _PEAK_FIELDS = ("peak_centers", "peak_widths", "peak_amplitudes")
 
@@ -258,7 +300,7 @@ def _networks():
         mlp.MlpConfig,
         hidden_sizes=st.lists(st.integers(1, 512), max_size=4).map(tuple),
         task=st.just(pipeline.TARGET_TASK[t]), learning_rate=_positive,
-        beta1=_finite, beta2=_finite, batch_size=st.integers(1, 4096),
+        batch_size=st.integers(1, 4096),
         max_epochs=st.integers(1, 10**4), patience=st.integers(0, 100),
         val_fraction=st.floats(0.0, 0.99), seed=st.integers(0, 2**32),
         standardize=st.booleans()) for t in pipeline.TARGETS})
@@ -270,24 +312,40 @@ def _run_config(grid, **fields) -> pipeline.RunConfig:
                               grid_stop=stop, **fields)
 
 
-_run_configs = st.builds(
-    _run_config, grid=grid_fields(10**5), n=st.integers(20, 10**6),
-    sim=st.builds(SimParams, **{
-        f.name: (st.tuples(*[_positive] * 4) if f.name in _PEAK_FIELDS
-                 else st.floats(0.0, 10.0))
-        for f in dataclasses.fields(SimParams)}),
-    ratios=st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)).map(
-        lambda ab: (ab[0], ab[1], 1.0 - ab[0] - ab[1])),
-    seed=st.integers(0, 2**63), mlp_configs=_networks(),
-    pfi_replications=st.integers(1, 1000),
-    pfi_split=st.sampled_from(pipeline.SPLIT_NAMES),
-    figures=st.lists(st.text()).map(tuple),
-    bundle_size=st.integers(1, 100), heatmap_stride=st.integers(1, 100),
-    outdir=st.text())
+def _figures(bundles: bool):
+    """Figure lists of the entry grammar; `bundles:` entries only if the
+    training split holds two bundles."""
+    component = st.integers(1, 999).map(str)
+    heads = ("eigenfunction", "mean-pm") + ("bundles",) * bundles
+    return st.lists(st.one_of(
+        st.just("heatmap"),
+        st.sampled_from(GROUPINGS).map("groups:{}".format),
+        st.tuples(st.sampled_from(heads), component).map(":".join),
+        st.tuples(st.just("scatter"),
+                  st.lists(component, min_size=1, max_size=2).map(",".join),
+                  st.sampled_from(pipeline.TARGETS)).map(":".join))).map(tuple)
+
+
+@st.composite
+def _run_configs(draw) -> pipeline.RunConfig:
+    n = draw(st.integers(20, 10**6))
+    ratios = draw(st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)).map(
+        lambda ab: (ab[0], ab[1], 1.0 - ab[0] - ab[1])))
+    n_train = pipeline.split_sizes(n, ratios)[0]
+    return draw(st.builds(
+        _run_config, grid=grid_fields(10**5), n=st.just(n),
+        sim=st.builds(SimParams, **{
+            f.name: (st.tuples(*[_positive] * 4) if f.name in _PEAK_FIELDS
+                     else st.floats(0.0, 10.0))
+            for f in dataclasses.fields(SimParams)}),
+        ratios=st.just(ratios), seed=st.integers(0, 2**63),
+        mlp_configs=_networks(), pfi_replications=st.integers(1, 1000),
+        figures=_figures(n_train >= 2 * viz.DEFAULT_BUNDLE_SIZE),
+        outdir=st.text()))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_run_configs)
+@given(_run_configs())
 def test_runconfig_json_round_trip_is_identity(config):
     text = json.dumps(config.to_dict())
     assert pipeline.RunConfig.from_dict(json.loads(text)) == config
@@ -404,13 +462,10 @@ def test_evaluate_models_hand_computed():
 
 
 def test_build_figure_rejects_unknown_entries():
-    config = pipeline.RunConfig(outdir="unused")
     with pytest.raises(ValueError, match="unknown figure entry"):
-        pipeline.build_figure("sparkline", config, None, None, None,
-                              None, None)
+        pipeline.build_figure("sparkline", None, None, None, None, None)
     with pytest.raises(ValueError, match="unknown scatter target"):
-        pipeline.build_figure("scatter:1:bogus", config, None, None, None,
-                              None, None)
+        pipeline.build_figure("scatter:1:bogus", None, None, None, None, None)
 
 
 @pytest.mark.parametrize("figures, message", [
@@ -698,7 +753,7 @@ def test_cli_chain_reproduces_run_stage_by_stage(smoke_run, tmp_path):
             "--max-epochs", net.max_epochs, "--seed", seeds[f"train-{target}"],
             "--outdir", chain / "models" / target)
         run("pfi", "--model", chain / "models" / target,
-            "--scores", chain / "scores" / f"{config.pfi_split}.csv",
+            "--scores", chain / "scores" / f"{pipeline.EVAL_SPLIT}.csv",
             "--target", target, "--replications", config.pfi_replications,
             "--seed", seeds[f"pfi-{target}"], "--outdir", chain / "pfi")
 
@@ -750,6 +805,62 @@ def test_cli_report_and_figures_rebuild_byte_identical(smoke_run):
     assert cli.main(["figures", "--run", str(outdir)]) == 0
     after_figs = {p.name: p.read_bytes() for p in figdir.iterdir()}
     assert after_figs == before_figs
+
+
+def test_cli_figures_refuses_a_figure_list_before_drawing(smoke_run, tmp_path,
+                                                        capsys):
+    """A run whose figure list ends in an unknown entry is refused when its
+    config is read, before any figure is drawn."""
+    rundir = tmp_path / "run"
+    shutil.copytree(smoke_run[2], rundir)
+    shutil.rmtree(rundir / "figures")
+    path = rundir / "config.json"
+    meta = read_json(path)
+    meta["figures"] = ["heatmap", "eigenfunction:2", "eigenfunction:x"]
+    write_json(path, meta)
+    message = f"{path}: unknown figure entry 'eigenfunction:x'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline.load_run_config(path)
+    capsys.readouterr()
+    assert cli.main(["figures", "--run", str(rundir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (rundir / "figures").exists()
+
+
+def _retired(section: str, key: str, value):
+    def edit(meta):
+        (meta[section] if section else meta)[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message, commands", [
+    ("config.json", _retired("", "bundle_size", 50),
+     "unknown config fields: ['bundle_size']", ("report", "figures")),
+    ("config.json", _retired("pfi", "split", "test"),
+     "unknown config.pfi fields: ['split']", ("report", "figures")),
+    # `figures --run` reads no network
+    ("models/y1/mlp.json", _retired("config", "beta1", 0.9),
+     "unknown MlpConfig fields: ['beta1']", ("report",))],
+    ids=["bundle-size", "pfi-split", "mlp-beta1"])
+def test_cli_refuses_a_setting_that_is_now_a_constant(
+        smoke_run, tmp_path, capsys, name, edit, message, commands):
+    """A run directory that still records a retired setting is refused by
+    name, with its file, before anything is written."""
+    rundir = tmp_path / "run"
+    shutil.copytree(smoke_run[2], rundir)
+    for written in ("report.json", "report.md", "figures"):
+        shutil.rmtree(rundir / written, ignore_errors=True)
+        (rundir / written).unlink(missing_ok=True)
+    path = rundir / name
+    meta = read_json(path)
+    edit(meta)
+    write_json(path, meta)
+    before = sorted(p for p in rundir.rglob("*"))
+    for command in commands:
+        capsys.readouterr()
+        assert cli.main([command, "--run", str(rundir)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert sorted(p for p in rundir.rglob("*")) == before
 
 
 def test_cli_report_ignores_the_saved_summaries(smoke_run, tmp_path):
@@ -1052,6 +1163,17 @@ def test_cli_simulate_names_a_params_file_with_a_bad_value(
                      "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
+
+
+def test_cli_simulate_refuses_a_step_below_the_float_spacing(tmp_path,
+                                                            capsys):
+    out = tmp_path / "dataset.csv"
+    assert cli.main(["simulate", "--n", "5", "--grid-start", "1",
+                     "--grid-stop", "1.0000000000001", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: grid step 1.0002009230857266e-16 from start 1.0 to stop "
+        "1.0000000000001 must exceed the float spacing")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_rejects_bad_dataset_path(tmp_path, capsys):

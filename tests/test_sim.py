@@ -1,9 +1,12 @@
 """Simulator contracts: determinism, label effects, grouping summaries."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdexplain.errors import NonFiniteError
 from fdexplain.seeding import stage_seed, substream
@@ -50,9 +53,38 @@ def test_grid_rejects_bad_points():
             (10, -4.0, float("inf"), "got start -4.0 and stop inf"),
             # the step overflows, or underflows to zero
             (10, -1e308, 1e308, "got start -1e+308 and stop 1e+308"),
-            (3, 0.0, 5e-324, "got start 0.0 and stop 5e-324")]:
+            (3, 0.0, 5e-324, "got start 0.0 and stop 5e-324"),
+            # a step below the float spacing: 549 of the 999 steps of
+            # np.linspace(1.0, 1.0 + 1e-13, 1000) repeat or fall
+            (1000, 1.0, 1.0 + 1e-13,
+             "grid step 1.0002009230857266e-16 from start 1.0 to stop "
+             "1.0000000000001 must exceed the float spacing "
+             "2.220446049250313e-16")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             TimeGrid(count, start, stop)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _grids_near_the_float_spacing(draw):
+    """(count, start, stop) whose step is a quarter to four times the float
+    spacing at `start`."""
+    count, start = draw(st.integers(2, 2000)), draw(_finite)
+    step = draw(st.floats(0.25, 4.0)) * math.ulp(start)
+    return count, start, start + (count - 1) * step
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.integers(2, 2000), _finite, _finite),
+                 _grids_near_the_float_spacing()))
+def test_every_grid_that_constructs_has_increasing_points(fields):
+    try:
+        grid = TimeGrid(*fields)
+    except ValueError:
+        return
+    assert np.all(np.diff(grid.points) > 0)
 
 
 def test_sim_params_validation():
