@@ -11,16 +11,19 @@ endings, parent-directory creation and the atomic replacement of a file.
 Every JSON artifact is read by `read_json`, which checks each key and the
 kind of its value against the one shape that the file's loader declares
 and accepts only finite numbers; every CSV table by `read_table_csv`,
-which accepts only finite numbers in rows as wide as the header. Either
-refuses a file with an error that starts with its path.
+which accepts only finite JSON numbers (the form the writer prints) in
+rows as wide as the header and, the mirror of `_format_rows`, reads a
+block of rows at a time with orjson. Either reader refuses a file with
+an error that starts with its path.
 """
 
 import json
+import math
 import os
-import warnings
+import re
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -155,9 +158,13 @@ def write_table_csv(path: Path, header: list[str], rows) -> None:
 
 def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray]:
     """Header and float rows of a CSV written by `write_table_csv` (or one
-    of the labelled writers), below `skiprows` leading lines. Any rows but
-    a table of finite numbers as wide as the header are refused, naming
-    `path`: no rows, a ragged row, a cell that is no number, nan or inf."""
+    of the labelled writers), below `skiprows` leading lines, each value
+    the bits `float` reads from its cell. Any rows but a table of finite
+    JSON numbers as wide as the header are refused, naming `path`: no
+    rows, a ragged row, a cell that is no number, nan or inf. The lines
+    are streamed and parsed about `_BLOCK_VALUES` values at a time
+    (`_parse_block`); when a block is refused, `_first_fault` names the
+    first faulty row of the file."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
@@ -166,16 +173,17 @@ def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray
             fh.readline()
         header = fh.readline().strip().split(",")
         body = fh.tell()
-        with warnings.catch_warnings():  # the error below replaces it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                  dtype=np.float64)
-            except ValueError as exc:
-                fh.seek(body)
-                raise ValueError(_first_fault(fh, len(header))
-                                 or str(exc)) from None
-        if data.size == 0:
+        lines = _data_lines(fh)
+        step = max(1, _BLOCK_VALUES // len(header))
+        try:
+            blocks = [_parse_block(rows) for rows in
+                      iter(lambda: list(islice(lines, step)), [])]
+            data = np.concatenate(blocks) if blocks else None
+        except ValueError as exc:
+            fh.seek(body)
+            raise ValueError(_first_fault(fh, len(header))
+                             or str(exc)) from None
+        if data is None:
             raise ValueError("no data rows below the header")
         if data.shape[1] != len(header):
             raise ValueError(f"header has {len(header)} columns, rows have "
@@ -187,22 +195,64 @@ def read_table_csv(path: Path, skiprows: int = 0) -> tuple[list[str], np.ndarray
     return header, data
 
 
+def _data_lines(lines):
+    """The CSV data `lines` without their newlines; empty lines (those
+    `np.loadtxt` skips) are left out and not counted as rows."""
+    return (line.rstrip("\n") for line in lines if line != "\n")
+
+
+# marks of a JSON value that is no number: the first letters of true,
+# false and null, a string's quote and an object's brace
+_NOT_NUMBER = ("t", "f", "n", '"', "{")
+# a cell holding the integer -0, which orjson reads as 0, without its sign
+_MINUS_ZERO = re.compile(r"-0[],\s]")
+
+
+def _parse_block(rows: list[str]) -> np.ndarray:
+    """The float table of the CSV data lines `rows`, read by one orjson
+    call as a JSON array of arrays; a ValueError unless each row is a list
+    of JSON numbers as long as the others. orjson reads each number to the
+    bits `float` gives, but `-0` to the integer 0, so a block holding a
+    `-0` cell is read again by `float`."""
+    text = "[[" + "],[".join(rows) + "]]"
+    if any(mark in text for mark in _NOT_NUMBER):
+        raise ValueError("a cell is no number")
+    block = np.array(orjson.loads(text), dtype=np.float64)
+    # a bracket in a row would nest a list or add a row
+    if block.ndim != 2 or len(block) != len(rows):
+        raise ValueError("a row is no list of numbers")
+    if (block == 0.0).any() and _MINUS_ZERO.search(text):
+        block = np.array([[float(cell) for cell in row.split(",")]
+                          for row in rows])
+    return block
+
+
+def _is_number(cell: str) -> bool:
+    """Whether `cell` holds a finite JSON number, with optional spaces."""
+    try:
+        return type(orjson.loads(cell)) in (int, float)
+    except orjson.JSONDecodeError:
+        return False
+
+
 def _first_fault(lines, width: int) -> str | None:
     """The first row of the CSV data `lines` that is not `width` cells
-    wide or holds a cell that `float` cannot read, numbering rows (blank
-    lines, which `np.loadtxt` skips, aside) and columns from 1. None if
-    there is none: `np.loadtxt` also refuses a few cells that `float`
-    reads, such as '1_0', and its own message then stands."""
-    rows = filter(None, (line.rstrip("\n") for line in lines))
-    for row, line in enumerate(rows, 1):
+    wide or holds a cell that is not a finite JSON number, numbering rows
+    (empty lines aside) and columns from 1; None if there is none."""
+    for row, line in enumerate(_data_lines(lines), 1):
         cells = line.split(",")
         if len(cells) != width:
             return f"data row {row} has {len(cells)} cells, the header has {width}"
         for col, cell in enumerate(cells, 1):
+            if _is_number(cell):
+                continue
             try:
-                float(cell)
+                finite = math.isfinite(float(cell))
             except ValueError:
-                return f"data row {row}, column {col}: {cell!r} is not a number"
+                finite = True
+            if not finite:
+                return f"non-finite value in data row {row}, column {col}"
+            return f"data row {row}, column {col}: {cell!r} is not a number"
     return None
 
 

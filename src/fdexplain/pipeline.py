@@ -292,19 +292,25 @@ def _figure_name(entry: str) -> str:
 def _parse_figure(entry: str) -> tuple[str, object]:
     """Head and argument of a figure-list entry (see `build_figure`): the
     grouping, the component, or the components and target of a scatter.
-    A malformed entry is a ValueError naming it."""
+    A malformed entry, or one naming component 0, is a ValueError naming
+    it."""
     head, _, rest = entry.partition(":")
     components, _, target = rest.partition(":")
     if head == "scatter" and target not in TARGETS:
         raise ValueError(f"unknown scatter target in figure {entry!r}")
-    if head == "heatmap" or (head == "groups" and rest in GROUPINGS):
+    if entry == "heatmap" or (head == "groups" and rest in GROUPINGS):
         return head, rest
-    if head in ("eigenfunction", "mean-pm", "bundles") and rest.isdecimal():
-        return head, int(rest)
     components = components.split(",")
-    if head == "scatter" and all(c.isdecimal() for c in components):
-        return head, ([int(c) for c in components], target)
-    raise ValueError(f"unknown figure entry {entry!r}")
+    if head in ("eigenfunction", "mean-pm", "bundles") and rest.isdecimal():
+        numbers = [int(rest)]
+    elif head == "scatter" and all(c.isdecimal() for c in components):
+        numbers = [int(c) for c in components]
+    else:
+        raise ValueError(f"unknown figure entry {entry!r}")
+    if 0 in numbers:
+        raise ValueError(f"figure {entry!r} names component 0; components "
+                         f"count from 1")
+    return head, (numbers, target) if head == "scatter" else numbers[0]
 
 
 def build_figure(entry: str, dataset: Dataset, train_ds: Dataset, model,

@@ -57,6 +57,12 @@ class TimeGrid:
             raise ValueError(f"grid step {self.dt!r} from start "
                              f"{self.start!r} to stop {self.stop!r} must "
                              f"exceed the float spacing {spacing!r}")
+        # np.linspace computes the last point as start + (count - 1) * dt
+        # before it sets it to stop; near the largest float that overflows
+        if math.isinf(self.start + (self.count - 1) * self.dt):
+            raise ValueError(f"grid from start {self.start!r} to stop "
+                             f"{self.stop!r} in {self.count} points "
+                             f"overflows the float range")
 
     @cached_property
     def points(self) -> np.ndarray:

@@ -28,13 +28,15 @@ def make_dataset(values, y1=None, y2=None, y3=None, start: float = -4.0,
 def grid_fields(max_count: int):
     """Strategy for the (count, start, stop) of a `TimeGrid`: finite
     start < stop, whose step neither overflows nor falls to the float
-    spacing at the ends."""
+    spacing at the ends, and whose last point `start + (count - 1) * dt`
+    does not overflow."""
     ends = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=2, unique=True).map(sorted)
     return st.tuples(st.integers(2, max_count), ends).map(
         lambda g: (g[0], *g[1])).filter(
         lambda g: math.ulp(max(abs(g[1]), abs(g[2])))
-        < (g[2] - g[1]) / (g[0] - 1) < math.inf)
+        < (d := (g[2] - g[1]) / (g[0] - 1)) < math.inf
+        and math.isfinite(g[1] + (g[0] - 1) * d))
 
 
 def quadrature_norm(values: np.ndarray, dt: float) -> float:

@@ -30,10 +30,14 @@ replaced with array arithmetic; both must be matched bit for bit (byte
 for byte for the polyline). `format_row_ref` is the one-value-at-a-time
 `repr` row formatter that `fdexplain.dataio._format_rows` replaced with
 block-wise orjson printing; every CSV line must match it byte for byte.
+`read_table_csv_ref` is the `np.loadtxt` table reader that
+`fdexplain.dataio.read_table_csv` replaced with block-wise orjson
+parsing; every table the writer prints must read back to its bits.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -394,3 +398,28 @@ def format_row_ref(row) -> str:
     """One CSV line body: each value as a float64 in shortest round-trip
     form (Python repr), so nan, inf and -0.0 survive too."""
     return ",".join(map(repr, np.asarray(row, dtype=np.float64).tolist()))
+
+
+# a CSV table, read by np.loadtxt
+
+def read_table_csv_ref(path, skiprows: int = 0):
+    """Header and float rows of a CSV table below `skiprows` leading
+    lines, read by `np.loadtxt`; a ValueError (numpy's own for a cell it
+    cannot read) unless the rows are finite numbers as wide as the
+    header."""
+    with open(path, encoding="utf-8") as fh:
+        for _ in range(skiprows):
+            fh.readline()
+        header = fh.readline().strip().split(",")
+        with warnings.catch_warnings():  # the error below replaces it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64)
+    if data.size == 0:
+        raise ValueError("no data rows below the header")
+    if data.shape[1] != len(header):
+        raise ValueError(f"header has {len(header)} columns, rows have "
+                         f"{data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite value")
+    return header, data

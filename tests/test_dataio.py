@@ -1,6 +1,7 @@
 """Artifact IO: exact float round trips and format validation."""
 
 import json
+import math
 import re
 import struct
 import warnings
@@ -15,7 +16,7 @@ from fdexplain import dataio, explain, fpca, mlp, sim
 from fdexplain.sim import LabelSet
 
 from helpers import grid_fields, make_dataset
-from oracles import format_row_ref
+from oracles import format_row_ref, read_table_csv_ref
 
 
 def _dataset(n=7, m=12, seed=0):
@@ -446,6 +447,136 @@ def test_format_rows_match_repr_byte_for_byte(tmp_path_factory, table):
     dataio.write_table_csv(path, header, table)
     assert path.read_bytes() == "".join(
         line + "\n" for line in [",".join(header)] + want).encode()
+
+
+_LARGEST = 1.7976931348623157e308
+_FINITE_EDGES = [x for x in _EDGES if np.isfinite(x)] + [_LARGEST, -_LARGEST]
+
+
+@st.composite
+def _finite_tables(draw):
+    """A finite table of width 1, 3, 1100 or one more than `_BLOCK_VALUES`
+    whose row count is 1, a reader block (`step`), one more, or any up to
+    two blocks and one row; each cell is one of a drawn pool of values
+    (edges included) or a random finite bit pattern."""
+    width = draw(st.sampled_from([1, 3, 1100, dataio._BLOCK_VALUES + 1]))
+    step = max(1, dataio._BLOCK_VALUES // width)
+    n = draw(st.one_of(st.sampled_from([1, step, step + 1]),
+                       st.integers(1, 2 * step + 1)))
+    pool = np.array(draw(st.lists(st.one_of(
+        _finite, st.sampled_from(_FINITE_EDGES)), min_size=1, max_size=32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = np.frombuffer(rng.bytes(8 * n * width),
+                         dtype=np.float64).reshape(n, width)
+    picked = pool[rng.integers(0, pool.size, size=(n, width))]
+    return np.where((rng.random((n, width)) < 0.5) | ~np.isfinite(bits),
+                    picked, bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_finite_tables())
+@example(table=np.array(_FINITE_EDGES * 3).reshape(-1, 1))
+@example(table=np.array([_FINITE_EDGES[:3]]))
+def test_reader_matches_loadtxt_bit_for_bit(tmp_path_factory, table):
+    path = tmp_path_factory.getbasetemp() / "read_table.csv"
+    header = [f"c{j}" for j in range(table.shape[1])]
+    dataio.write_table_csv(path, header, table)
+    back_header, back = dataio.read_table_csv(path)
+    ref_header, ref = read_table_csv_ref(path)
+    assert back_header == ref_header == header
+    assert _bits_equal(back, ref) and _bits_equal(back, table)
+
+
+# a finite JSON number with the spaces JSON allows around it
+_JSON_NUMBER = re.compile(r"[ \t]*-?(0|[1-9][0-9]*)(\.[0-9]+)?"
+                          r"([eE][+-]?[0-9]+)?[ \t]*")
+
+
+def _small_blocks(monkeypatch, width: int = 3, step: int = 2) -> None:
+    """Make the reader parse `step` rows of a `width`-wide table a block."""
+    monkeypatch.setattr(dataio, "_BLOCK_VALUES", width * step)
+
+
+@pytest.mark.parametrize("cell", [
+    "-0", "-0 ", "\t-0", "-0.0", "-0e0", "0", "1e-0", "1E+5", " 1.0",
+    "9007199254740993", "18446744073709551615", "18446744073709551616",
+    "2.4703282292062328e-324", "1.7976931348623158e308",
+    ".5", "+1", "1.", "01", "-", "1e", "", "1_0", "0x10", "1 2", "[1]", "{}",
+    "true", "null", '"1.5"', "1e400", "-1e400", "1.7976931348623159e308",
+    "NaN", "nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("row, col", [(1, 1), (3, 3), (4, 2)])
+def test_reader_takes_a_cell_as_float_does_or_names_it(tmp_path, monkeypatch,
+                                                       cell, row, col):
+    _small_blocks(monkeypatch)  # rows 3 and 4 are the second block
+    cells = [["1.5", "-2.25", "3"] for _ in range(5)]
+    cells[row - 1][col - 1] = cell
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in cells))
+    try:
+        value = float(cell)
+    except ValueError:
+        value = None
+    if _JSON_NUMBER.fullmatch(cell) and math.isfinite(value):
+        _, data = dataio.read_table_csv(path)
+        assert data[row - 1, col - 1].tobytes() == struct.pack("<d", value)
+        assert data.shape == (5, 3) and data[0, 1] == -2.25
+        return
+    with pytest.raises(ValueError) as info:
+        dataio.read_table_csv(path)
+    assert str(info.value) == f"{path}: " + (
+        f"non-finite value in data row {row}, column {col}"
+        if value is not None and not math.isfinite(value) else
+        f"data row {row}, column {col}: {cell!r} is not a number")
+
+
+def test_reader_skips_empty_lines_and_reads_crlf(tmp_path, monkeypatch):
+    _small_blocks(monkeypatch)
+    rows = np.arange(15.0).reshape(5, 3) - 7.5
+    path = tmp_path / "t.csv"
+    dataio.write_table_csv(path, ["a", "b", "c"], rows)
+    lines = path.read_text().splitlines()
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    assert _bits_equal(dataio.read_table_csv(path)[1], rows)
+    spaced = [lines[0], "", lines[1], lines[2], "", "", lines[3], "abc,1,2"]
+    path.write_text("\n".join(spaced) + "\n\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "data row 4, column 1: 'abc' is not a number")):
+        dataio.read_table_csv(path)
+    path.write_text("\n".join(spaced[:-1] + lines[4:]) + "\n\n")
+    assert _bits_equal(dataio.read_table_csv(path)[1], rows)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["a,b,c", "1,2,3", "4,5,6", "7,8,9", "1,2"],
+     "data row 4 has 2 cells, the header has 3"),
+    (["a,b,c", "1,2,3", "4,5,6", "7,8", "1,2"],
+     "data row 3 has 2 cells, the header has 3"),
+    (["a,b,c", "1,2", "4,5", "7,8,9", "1,2,3"],
+     "data row 1 has 2 cells, the header has 3"),
+    (["a,b,c", "1,2", "4,5", "7,8", "1,2"],
+     "header has 3 columns, rows have 2"),
+    (["a,b,c", "1,2,3", "4,5,6", "7,8,9", "1,2,3,4"],
+     "data row 4 has 4 cells, the header has 3"),
+    # orjson would read these lines as another table: a row split in two,
+    # rows nested, or two one-column rows from one line
+    (["a,b,c", "1,2,3", "4,5,6", "7],[8,9", "1,2,3"],
+     "data row 3, column 1: '7]' is not a number"),
+    (["a,b,c", "1,2,3", "4,5,6", "7,[8,9", "1],2,3"],
+     "data row 3, column 2: '[8' is not a number"),
+    (["a", "1", "2],[3", "4"], "data row 2 has 2 cells, the header has 1"),
+    (["a", "1", "[2", "3]", "4"],
+     "data row 2, column 1: '[2' is not a number")],
+    ids=["last-row-short", "second-block-short", "first-block-short",
+         "all-short", "last-row-long", "row-split", "row-nested",
+         "one-column-row-split", "one-column-rows-nested"])
+def test_reader_names_the_first_ragged_row(tmp_path, monkeypatch, lines,
+                                           message):
+    _small_blocks(monkeypatch)
+    path = tmp_path / "t.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError) as info:
+        dataio.read_table_csv(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("rows", [

@@ -476,6 +476,12 @@ def test_build_figure_rejects_unknown_entries():
     (["heatmap", "scatter:1:y9"], "unknown scatter target"),
     (["bundles:1"], "need at least 100 signatures, got 72"),
     (list(pipeline.DEFAULT_FIGURES), "need at least 100 signatures, got 72"),
+    (["heatmap:zzz"], "unknown figure entry 'heatmap:zzz'"),
+    (["heatmap:"], "unknown figure entry 'heatmap:'"),
+    *[([entry], f"figure {entry!r} names component 0; components count "
+                "from 1")
+      for entry in ["eigenfunction:0", "mean-pm:0", "bundles:0",
+                    "scatter:0,1:y1", "scatter:2,0:y2", "scatter:00:y3"]],
 ])
 def test_run_refuses_figures_it_cannot_finish_before_writing(
         figures, message, tmp_path, capsys):

@@ -59,7 +59,12 @@ def test_grid_rejects_bad_points():
             (1000, 1.0, 1.0 + 1e-13,
              "grid step 1.0002009230857266e-16 from start 1.0 to stop "
              "1.0000000000001 must exceed the float spacing "
-             "2.220446049250313e-16")]:
+             "2.220446049250313e-16"),
+            # the last point overshoots the largest float before np.linspace
+            # sets it to stop
+            (10, 0.0, 1.7976931348623157e308,
+             "grid from start 0.0 to stop 1.7976931348623157e+308 in 10 "
+             "points overflows the float range")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             TimeGrid(count, start, stop)
 
@@ -76,9 +81,23 @@ def _grids_near_the_float_spacing(draw):
     return count, start, start + (count - 1) * step
 
 
+_LARGEST = 1.7976931348623157e308
+
+
+@st.composite
+def _grids_near_the_largest_float(draw):
+    """(count, start, stop) with `stop` at or next to the largest float, or
+    `start` at or next to its negative, where the points may overflow."""
+    count = draw(st.integers(2, 2000))
+    end = draw(st.sampled_from([math.nextafter(_LARGEST, 0.0), _LARGEST]))
+    other = draw(st.floats(-end, end))
+    return (count, other, end) if draw(st.booleans()) else (count, -end, other)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.tuples(st.integers(2, 2000), _finite, _finite),
-                 _grids_near_the_float_spacing()))
+                 _grids_near_the_float_spacing(),
+                 _grids_near_the_largest_float()))
 def test_every_grid_that_constructs_has_increasing_points(fields):
     try:
         grid = TimeGrid(*fields)
