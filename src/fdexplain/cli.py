@@ -57,8 +57,10 @@ def _cmd_fpca(args) -> int:
 
 def _cmd_transform(args) -> int:
     model = fpca.load_model(Path(args.model))
-    dataset = read_dataset(Path(args.data))
-    scores = fpca.transform(model, dataset)
+    data = Path(args.data)
+    dataset = read_dataset(data)
+    with _in_file(data):
+        scores = fpca.transform(model, dataset)
     write_scores(Path(args.out), scores, dataset.labels)
     print(f"wrote {scores.shape[0]}x{scores.shape[1]} scores to {args.out}")
     return 0

@@ -54,12 +54,18 @@ class FpcaModel:
         return self.eigenvalues.size
 
 
-def _as_values(data, m: int) -> np.ndarray:
-    values = data.values if isinstance(data, Dataset) else np.atleast_2d(
-        np.asarray(data, dtype=np.float64))
-    if values.shape[1] != m:
+def _as_values(data, grid: TimeGrid) -> np.ndarray:
+    """The signature rows of `data`; a Dataset must be sampled on `grid`
+    itself, bare rows must have its point count."""
+    if isinstance(data, Dataset):
+        if data.grid != grid:
+            raise ValueError(f"signatures are sampled on {data.grid}, "
+                             f"the model on {grid}")
+        return data.values
+    values = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if values.shape[1] != grid.count:
         raise ValueError(f"signatures have {values.shape[1]} points, "
-                         f"model grid has {m}")
+                         f"model grid has {grid.count}")
     return values
 
 
@@ -104,7 +110,7 @@ def fit(train: Dataset) -> FpcaModel:
 
 def transform(model: FpcaModel, data) -> np.ndarray:
     """Project signatures to component scores (one row per signature)."""
-    values = _as_values(data, model.grid.count)
+    values = _as_values(data, model.grid)
     return (values - model.mean) @ model.eigenfunctions.T * model.grid.dt
 
 

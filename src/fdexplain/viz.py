@@ -4,8 +4,13 @@ Charts are assembled by hand as SVG strings: no display server, no
 rendering library, and byte-identical output for identical inputs. Every
 figure writes a CSV holding the plotted series together with a JSON
 metadata comment line, and re-rendering from that CSV reproduces the SVG
-byte for byte. Coordinates use fixed two-decimal formatting; the data CSV
-keeps full shortest round-trip precision.
+byte for byte. Coordinates use fixed two-decimal formatting, byte for
+byte `format(v, ".2f")`; the data CSV keeps full shortest round-trip
+precision. A polyline's points are printed from the coordinate arrays
+at once (`_points`): the cents |v|*100 are rounded in bulk, and only
+nan, inf, values of magnitude 1e6 or more and values whose cents lie
+within 1e-6 of a half are printed by `format` one at a time. Axis ticks, markers and heatmap
+cells are few and keep their f-strings.
 """
 
 import json
@@ -16,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fpca as fpca_mod
-from .dataio import _format_rows, _parse_json, _write_lines, read_table_csv
+from .dataio import (_format_rows, _in_file, _parse_json, _write_lines,
+                     read_table_csv)
 from .sim import Dataset, class_conditional_means
 
 KINDS = ("eigenfunction", "mean-pm-eigenfunction", "extreme-bundles",
@@ -33,6 +39,12 @@ N_TICKS = 5
 PALETTE = ("#1b6ca8", "#c0392b", "#2d8a4e", "#8e44ad", "#e67e22", "#555555")
 UNDEFINED_FILL = "#bbbbbb"
 
+# `_points` rounds the float product |v|*100, which lies within 1e-8 of
+# the exact one below this bound; nearer a half cent than the margin, the
+# rounding is left to `format`
+_BULK_BOUND = 1e6
+_TIE_MARGIN = 1e-6
+
 
 @dataclass
 class Series:
@@ -44,11 +56,12 @@ class Series:
 class PlotSpec:
     """Complete description of one figure.
 
-    `x` and every series share a length. Scatter figures additionally
-    carry a per-point group index; heatmaps carry a definedness mask for
-    cells whose correlation does not exist. `extras` holds small
-    JSON-serializable facts about how the data was selected (component
-    index, bundle membership, multiplier) for the companion CSV.
+    `x` and every series share a length. Scatter figures may carry a
+    group index per point; a heatmap has one series per `x` value and
+    may carry a (q, q) definedness mask for cells whose correlation does
+    not exist. `extras` holds small JSON-serializable facts about how the
+    data was selected (component index, bundle membership, multiplier)
+    for the companion CSV.
     """
     kind: str
     title: str
@@ -76,6 +89,17 @@ class PlotSpec:
                 raise ValueError(f"non-finite values in series {s.name!r}")
             if "," in s.name or "\n" in s.name:
                 raise ValueError(f"series name {s.name!r} not CSV-safe")
+        if self.groups is not None and len(self.groups) != self.x.size:
+            raise ValueError(f"{len(self.groups)} groups for {self.x.size} "
+                             "x values")
+        if self.kind == "correlation-heatmap":
+            q = self.x.size
+            if len(self.series) != q:
+                raise ValueError(f"heatmap has {len(self.series)} series "
+                                 f"for {q} x values")
+            if self.defined is not None and np.shape(self.defined) != (q, q):
+                raise ValueError(f"heatmap defined mask has shape "
+                                 f"{np.shape(self.defined)}, not {(q, q)}")
 
 
 def _escape(text: str) -> str:
@@ -115,7 +139,60 @@ class _Frame:
         arrays by the same float operations as single values."""
         px = self.sx(np.asarray(xs, dtype=np.float64))
         py = self.sy(np.asarray(ys, dtype=np.float64))
-        return " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
+        return _points(np.column_stack((px, py)).ravel())
+
+
+def _points(values: np.ndarray) -> str:
+    """`values` (x0, y0, x1, y1, ...) printed as "x0,y0 x1,y1 ...", each
+    byte for byte `format(v, ".2f")`.
+
+    The cents of |v| are rounded in bulk from the float product
+    c = |v|*100, and the characters of every value are laid out in one
+    uint8 matrix whose leading-zero columns a mask drops. The values that
+    rule cannot decide are printed by `format` itself: nan, inf, |v| >=
+    `_BULK_BOUND`, and values whose c lies within `_TIE_MARGIN` of a half
+    cent, which `format` rounds by the exact value of v, exact ties to
+    even."""
+    n = values.size
+    if n == 0:
+        return ""
+    size = np.abs(values)
+    bulk = size < _BULK_BOUND  # False for nan
+    c = np.where(bulk, size, 0.0) * 100.0
+    whole = np.floor(c)
+    frac = c - whole
+    patch = ~bulk | (np.abs(frac - 0.5) <= _TIE_MARGIN)
+    cents = whole.astype(np.int32) + (frac > 0.5)  # at most 1e8
+    cents[patch] = 0
+    # sign, whole digits, ".", two decimals, separator
+    width = max(len(str(int(cents.max()))), 3)
+    chars = np.empty((n, width + 3), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, 0] = ord("-")
+    keep[:, 0] = np.signbit(values)
+    for k, col in enumerate([*range(1, width - 1), width, width + 1]):
+        place = 10 ** (width - 1 - k)
+        chars[:, col] = cents // place % 10 + ord("0")
+        if place >= 1000:  # a leading zero of the whole part
+            keep[:, col] = cents >= place
+    chars[:, width - 1] = ord(".")
+    chars[0::2, -1] = ord(",")
+    chars[1::2, -1] = ord(" ")
+    keep[-1, -1] = False
+    keep[patch, :-1] = False
+    text = chars[keep].tobytes().decode("ascii")
+    if not patch.any():
+        return text
+    # a patched value left only its separator; its text goes before it
+    lengths = keep.sum(axis=1)
+    starts = np.cumsum(lengths) - lengths
+    pieces, prev = [], 0
+    for i in np.flatnonzero(patch).tolist():
+        start = int(starts[i])
+        pieces += [text[prev:start], format(float(values[i]), ".2f")]
+        prev = start
+    pieces.append(text[prev:])
+    return "".join(pieces)
 
 
 def _axes(out: list, frame: _Frame, title: str, x_label: str, y_label: str):
@@ -385,11 +462,12 @@ def load_figure_spec(csv_path: Path) -> PlotSpec:
     if meta["has_defined"]:
         defined = np.array([column(f"defined_{i + 1}") != 0.0
                             for i in range(rows.shape[0])])
-    return PlotSpec(kind=meta["kind"], title=meta["title"],
-                    x_label=meta["x_label"], y_label=meta["y_label"],
-                    x=column("x"), series=series, groups=groups,
-                    group_names=meta["group_names"], defined=defined,
-                    extras=meta["extras"])
+    with _in_file(csv_path):
+        return PlotSpec(kind=meta["kind"], title=meta["title"],
+                        x_label=meta["x_label"], y_label=meta["y_label"],
+                        x=column("x"), series=series, groups=groups,
+                        group_names=meta["group_names"], defined=defined,
+                        extras=meta["extras"])
 
 
 def eigenfunction_plot(model: fpca_mod.FpcaModel, j: int) -> PlotSpec:

@@ -26,9 +26,14 @@ role written out by hand, as they were before
 one-replication mean loss that `fdexplain.explain` replaced with a
 reduction over a block of replications, and `polyline_ref` the
 point-by-point SVG polyline that `fdexplain.viz._Frame.polyline`
-replaced with array arithmetic; both must be matched bit for bit (byte
-for byte for the polyline). `format_row_ref` is the one-value-at-a-time
-`repr` row formatter that `fdexplain.dataio._format_rows` replaced with
+replaced with array arithmetic: it maps each point by the scalar
+`sx`/`sy` and prints it with `format(v, ".2f")`, and it is the
+reference for the bulk printer `fdexplain.viz._points`, which rounds
+the cents of all values at once and leaves nan, inf, magnitudes of 1e6
+or more and values whose cents |v|*100 lie within 1e-6 of a half to
+`format`. Both must be matched bit for bit (byte for byte for the
+polyline). `format_row_ref` is the one-value-at-a-time `repr` row
+formatter that `fdexplain.dataio._format_rows` replaced with
 block-wise orjson printing; every CSV line must match it byte for byte.
 `read_table_csv_ref` is the `np.loadtxt` table reader that
 `fdexplain.dataio.read_table_csv` replaced with block-wise orjson

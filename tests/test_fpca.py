@@ -106,9 +106,15 @@ def test_transform_mean_is_zero_row():
 
 
 def test_transform_grid_mismatch():
-    model, _, _, _ = _two_point_model(m=24)
+    model, ds, _, _ = _two_point_model(m=24)
     with pytest.raises(ValueError, match="grid"):
         fpca.transform(model, np.ones((3, 25)))
+    # as many points as the model's grid, sampled over another span
+    shifted = helpers.make_dataset(ds.values, start=-5.0, stop=1.0)
+    with pytest.raises(ValueError) as info:
+        fpca.transform(model, shifted)
+    assert str(shifted.grid) in str(info.value)
+    assert str(model.grid) in str(info.value)
 
 
 def test_training_scores_centered_uncorrelated_variances():

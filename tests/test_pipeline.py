@@ -732,6 +732,26 @@ def test_cli_stagewise(tmp_path):
     assert report.importances.shape == (scores.shape[1], 3)
 
 
+def test_cli_transform_refuses_data_on_another_grid(tmp_path, capsys):
+    d = tmp_path
+    assert cli.main(["simulate", "--n", "20", "--seed", "1", "--grid-count",
+                     "40", "-o", str(d / "a.csv")]) == 0
+    assert cli.main(["fpca", "--train", str(d / "a.csv"),
+                     "--outdir", str(d / "fpca")]) == 0
+    assert cli.main(["simulate", "--n", "5", "--seed", "2", "--grid-count",
+                     "40", "--grid-start", "-5", "--grid-stop", "1",
+                     "-o", str(d / "b.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(["transform", "--model", str(d / "fpca"),
+                     "--data", str(d / "b.csv"),
+                     "-o", str(d / "scores.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {d / 'b.csv'}: " in err
+    assert "TimeGrid(count=40, start=-5.0, stop=1.0)" in err
+    assert "TimeGrid(count=40, start=-4.0, stop=0.0)" in err
+    assert not (d / "scores.csv").exists()
+
+
 def test_cli_chain_reproduces_run_stage_by_stage(smoke_run, tmp_path):
     """Subcommands fed the run's stage seeds and network sizes rewrite the
     run's data, components, scores, networks and importances byte for

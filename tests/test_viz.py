@@ -70,6 +70,56 @@ def test_polyline_matches_point_by_point(x0, x_span, y0, y_span, data):
         oracles.polyline_ref(frame, xs, ys)
 
 
+def _exact_frame():
+    """A frame whose `sx` maps every float to itself and whose `sy` maps
+    every float but -0.0 to itself, so chosen values reach the printer."""
+    frame = viz._Frame((0.0, 1.0), (0.0, -1.0))
+    frame.px, frame.pw, frame.py, frame.ph = -0.0, 1.0, -1.0, 1.0
+    return frame
+
+
+_HARD_VALUES = {
+    "exact-ties": [0.125, -0.125, 70.375, 699.875, -699.875, 0.375],
+    # 0.025 is just above a tie, but its float product with 100 is 2.5
+    "near-ties": [1.005, 2.675, 0.025, -0.025, 9.995, 999.995],
+    "signed-zeros": [-0.0, 0.0, -0.004, 0.004, -0.005, 5e-324],
+    "empty": [],
+    "magnitude-bound": [999999.994, 999999.995, 999999.996, 1e6, -1e6,
+                        1e6 + 0.125, 123456789.125, -1e300],
+}
+
+
+@pytest.mark.parametrize("values", _HARD_VALUES.values(), ids=_HARD_VALUES)
+def test_polyline_prints_hard_values_as_format_does(values):
+    frame = _exact_frame()
+    xs = np.array(values, dtype=np.float64)
+    ys = xs[::-1].copy()
+    assert np.array_equal(frame.sx(xs), xs) and np.array_equal(frame.sy(ys), ys)
+    assert frame.polyline(xs, ys) == oracles.polyline_ref(frame, xs, ys)
+
+
+def test_polyline_prints_overflowing_coordinates_as_words():
+    # the x span overflows to inf, the y map of +-1e300 to -+inf
+    frame = viz._Frame((-1e308, 1e308), (0.0, 1e-300))
+    xs = np.array([1e308, -1e308, 0.0, 1e308])
+    ys = np.array([1e300, -1e300, 0.0, -0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = frame.polyline(xs, ys)
+    assert points == oracles.polyline_ref(frame, xs, ys)
+    assert points == "nan,-inf 70.00,inf 70.00,430.00 nan,430.00"
+
+
+def test_bundles_svg_matches_point_by_point_polylines(monkeypatch):
+    """A figure-scale check: 101 series of 1000 points."""
+    ds = sim.generate_dataset(100, sim.SimParams(), seed=4,
+                              grid=sim.TimeGrid(1000))
+    spec = viz.extreme_score_bundles(fpca.fit(ds), ds, 1, m=50)
+    svg = viz.render_svg(spec)
+    assert svg.count("<polyline ") == 101
+    monkeypatch.setattr(viz._Frame, "polyline", oracles.polyline_ref)
+    assert svg == viz.render_svg(spec)
+
+
 def test_svg_well_formed_for_every_kind(smoke):
     for name, spec in _all_specs(smoke):
         root = ET.fromstring(viz.render_svg(spec))
@@ -151,6 +201,28 @@ def test_plotspec_validation():
     with pytest.raises(ValueError, match="CSV-safe"):
         viz.PlotSpec("eigenfunction", "t", "x", "y", x,
                      [viz.Series("a,b", np.ones(5))])
+    with pytest.raises(ValueError, match="2 groups for 3 x values"):
+        viz.PlotSpec("score-scatter", "t", "x", "y", x[:3],
+                     [viz.Series("y", np.ones(3))], groups=np.array([0, 1]))
+    rows = [viz.Series(f"t_{i + 1}", np.ones(3)) for i in range(3)]
+    with pytest.raises(ValueError, match="heatmap has 2 series for 3 x"):
+        viz.PlotSpec("correlation-heatmap", "t", "x", "y", x[:3], rows[:2])
+    with pytest.raises(ValueError, match=r"shape \(3, 2\), not \(3, 3\)"):
+        viz.PlotSpec("correlation-heatmap", "t", "x", "y", x[:3], rows,
+                     defined=np.ones((3, 2), dtype=bool))
+
+
+def test_load_refuses_heatmap_csv_short_of_a_series(smoke, tmp_path):
+    ds, _, _ = smoke
+    _, path = viz.save_figure(viz.correlation_heatmap(ds, stride=10),
+                              tmp_path, "heat")
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace(', "t_4"]', "]")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="heatmap has 3 series for 4 x") \
+            as info:
+        viz.load_figure_spec(path)
+    assert str(path) in str(info.value)
 
 
 # ---------------------------------------------------------------------------
