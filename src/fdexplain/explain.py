@@ -4,9 +4,13 @@ Importance of a feature is the increase in mean loss when that feature's
 column is shuffled while all others stay fixed: permuted loss minus the
 unpermuted baseline. Classifiers are scored with zero-one loss on hard
 labels, the regressor with squared error. Values can be negative and are
-reported as computed. Each (feature, replication) pair draws its shuffle
-from its own child generator, so importances do not depend on evaluation
-order and any single pair can be reproduced in isolation.
+reported as computed. Each (feature, replication) pair `(j, rep)` draws
+its shuffle from its own stream, numpy's `SeedSequence((seed, j, rep))`
+-> `PCG64` stream, so importances do not depend on evaluation order and
+any single pair can be reproduced in isolation. The keys of all pairs
+are hashed at once (`seeding.substreams`), and each stream is still the
+one-key stream, which the tests keep as the oracle `substream_ref`;
+the shuffles themselves are drawn one feature at a time.
 
 A feature's replications are evaluated as one (replications, n) block of
 predictions, scored row by row. A trained network with hidden layers is
@@ -27,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, mlp
-from .dataio import (FORMAT_VERSION, read_json, read_table_csv, write_json,
-                     write_table_csv)
-from .seeding import substream
+from .dataio import (FORMAT_VERSION, _in_file, read_json, read_table_csv,
+                     write_json, write_table_csv)
+from .seeding import substreams
 
 DEFAULT_REPLICATIONS = 10
 
@@ -70,12 +74,25 @@ class PfiReport:
 
     `n_features`, `replications`, `mean_importance` and `sd_importance`
     (ddof=1; zeros at one replication) are computed from `importances`.
+    A feature whose finite importances have a mean or sd beyond the float
+    range is refused.
     """
     importances: np.ndarray
     baseline_loss: float
     loss: str
     seed: int
     n_obs: int
+
+    def __post_init__(self):
+        # such a feature would report inf or nan, and `save_pfi` would
+        # write the mean as `Infinity`, which is not JSON
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = np.stack((self.mean_importance, self.sd_importance))
+        beyond = (~np.isfinite(stats).all(axis=0)
+                  & np.isfinite(self.importances).all(axis=1))
+        if beyond.any():
+            raise ValueError(f"importances of feature {np.argmax(beyond) + 1}"
+                             f" have a mean or sd beyond the float range")
 
     @property
     def n_features(self) -> int:
@@ -184,9 +201,11 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, loss: str,
             model.predict if isinstance(model, mlp.Mlp) else model, X)
     baseline_loss = float(_mean_losses(loss_fn, baseline, y)[0])
     importances = np.empty((n_feat, replications))
+    streams = substreams(seed,
+                         np.indices((n_feat, replications)).reshape(2, -1).T)
     for j in range(n_feat):
-        perms = np.array([substream(seed, j, rep).permutation(n)
-                          for rep in range(replications)])
+        perms = np.array([next(streams).permutation(n)
+                          for _ in range(replications)])
         np.subtract(_mean_losses(loss_fn, rows(j, perms), y), baseline_loss,
                     out=importances[j])
     return PfiReport(importances=importances, baseline_loss=baseline_loss,
@@ -244,5 +263,6 @@ def load_pfi(outdir: Path, name: str) -> PfiReport:
         raise ValueError(f"{path}: expected the header replication_1 to "
                          f"replication_{reps}, one per replication in "
                          f"{json_path.name}")
-    return PfiReport(importances, meta["baseline_loss"], loss, meta["seed"],
-                     meta["n_obs"])
+    with _in_file(path):
+        return PfiReport(importances, meta["baseline_loss"], loss,
+                         meta["seed"], meta["n_obs"])

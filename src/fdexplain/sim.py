@@ -11,9 +11,12 @@ responds to three device characteristics:
 
 A curve is ``gain * (baseline + early boost + sum of Gaussian peaks)`` plus
 iid Gaussian observation noise, floored at a small positive constant.
-Generation is deterministic: signature ``i`` draws from a stream keyed by
-``(seed, i)``, so any subset of a dataset reproduces independently of how
-many signatures are generated or in what order.
+Generation is deterministic: signature ``i`` draws from numpy's
+``SeedSequence((seed, i))`` -> ``PCG64`` stream, so any subset of a
+dataset reproduces independently of how many signatures are generated or
+in what order. The keys of all signatures are hashed in one bulk call
+(``seeding.substreams``); each stream is still the one-key stream, which
+the tests keep as the oracle ``substream_ref``.
 """
 
 import math
@@ -25,7 +28,7 @@ import numpy as np
 from . import kernels
 from ._config import _float_fields, _override
 from .errors import NonFiniteError
-from .seeding import stage_seed, substream
+from .seeding import stage_seed, substreams
 
 INTENSITY_FLOOR = 1e-6
 BOOST_DECAY_RATE = 3.0
@@ -180,8 +183,9 @@ def generate_dataset(n: int, params: SimParams, seed: int,
     signature_seed = stage_seed(seed, "signatures")
     z = np.empty((n, 3 * N_BASE_PEAKS))
     noise = np.empty((n, grid.count))
-    for i in range(n):  # 4 amp, 4 center, 4 width jitters, then noise
-        rng_i = substream(signature_seed, i)
+    keys = np.arange(n)[:, None]
+    for i, rng_i in enumerate(substreams(signature_seed, keys)):
+        # 4 amp, 4 center, 4 width jitters, then noise
         z[i] = rng_i.standard_normal(3 * N_BASE_PEAKS)
         noise[i] = rng_i.standard_normal(grid.count)
 

@@ -14,6 +14,7 @@ cells are few and keep their f-strings.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -89,6 +90,8 @@ class PlotSpec:
                 raise ValueError(f"non-finite values in series {s.name!r}")
             if "," in s.name or "\n" in s.name:
                 raise ValueError(f"series name {s.name!r} not CSV-safe")
+        if self.kind != "correlation-heatmap" and self.x.size:
+            self._check_frame()
         if self.groups is not None and len(self.groups) != self.x.size:
             raise ValueError(f"{len(self.groups)} groups for {self.x.size} "
                              "x values")
@@ -100,6 +103,26 @@ class PlotSpec:
             if self.defined is not None and np.shape(self.defined) != (q, q):
                 raise ValueError(f"heatmap defined mask has shape "
                                  f"{np.shape(self.defined)}, not {(q, q)}")
+
+    def _check_frame(self):
+        """Refuse values whose padded frame (`_range`) spans more than the
+        float range, which would map every point to nan."""
+        if _overflows(self.x):
+            raise ValueError("x values span more than the float range")
+        plotted = (self.series[:1] if self.kind == "score-scatter"
+                   else self.series)
+        if plotted and _overflows(np.concatenate([s.values for s in plotted]),
+                                  include_zero=self.kind == "eigenfunction"):
+            low = min(plotted, key=lambda s: s.values.min()).name
+            high = max(plotted, key=lambda s: s.values.max()).name
+            names = repr(low) if low == high else f"{low!r} to {high!r}"
+            raise ValueError(f"values of series {names} span more than the "
+                             f"float range")
+
+
+def _overflows(values, include_zero: bool = False) -> bool:
+    lo, hi = _range(values, include_zero)
+    return not math.isfinite(hi - lo)
 
 
 def _escape(text: str) -> str:

@@ -38,6 +38,11 @@ block-wise orjson printing; every CSV line must match it byte for byte.
 `read_table_csv_ref` is the `np.loadtxt` table reader that
 `fdexplain.dataio.read_table_csv` replaced with block-wise orjson
 parsing; every table the writer prints must read back to its bits.
+`substream_ref` is the one-key stream that numpy defines,
+`SeedSequence((seed, *key))` -> `PCG64`, which
+`fdexplain.seeding.substreams` reproduces for many keys at once by
+hashing them with array operations; every stream must match it bit for
+bit.
 """
 
 import itertools
@@ -428,3 +433,10 @@ def read_table_csv_ref(path, skiprows: int = 0):
     if not np.isfinite(data).all():
         raise ValueError("non-finite value")
     return header, data
+
+
+# one item's random stream, as numpy defines it
+
+def substream_ref(seed: int, *key: int) -> np.random.Generator:
+    """The generator of `SeedSequence((seed, *key))`."""
+    return np.random.default_rng(np.random.SeedSequence((seed,) + key))

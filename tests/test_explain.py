@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdexplain import dataio, explain, kernels, mlp
-from fdexplain.seeding import substream
 
 import oracles
 
@@ -116,7 +115,7 @@ def test_zero_one_importance_is_accuracy_drop():
     # replay the documented substreams and compare accuracy drops
     for j in range(2):
         for rep in range(reps):
-            perm = substream(seed, j, rep).permutation(30)
+            perm = oracles.substream_ref(seed, j, rep).permutation(30)
             work = X.copy()
             work[:, j] = X[perm, j]
             acc = float(np.mean((predict(work) >= 0.5) == (y == 1.0)))
@@ -250,6 +249,48 @@ def test_network_without_hidden_layers_calls_predict(task):
     assert fast.importances.tobytes() == slow.importances.tobytes()
 
 
+def _replayed(model, X, y, loss, reps, seed):
+    """Importances from one `substream_ref` shuffle at a time: a network
+    through `_network_rows` one permutation per call, a callable on its
+    own shuffled copy of X."""
+    loss_fn = explain._LOSS_FUNCS[loss]
+    if isinstance(model, mlp.Mlp):
+        baseline, rows = explain._network_rows(model, X)
+        predict = lambda j, perm: rows(j, perm[None])[0]  # noqa: E731
+    else:
+        baseline = model(X)
+
+        def predict(j, perm):
+            work = X.copy()
+            work[:, j] = X[perm, j]
+            return model(work)
+    base = oracles.mean_loss_ref(loss_fn, np.ravel(baseline), y)
+    out = np.empty((X.shape[1], reps))
+    for j in range(X.shape[1]):
+        for rep in range(reps):
+            perm = oracles.substream_ref(seed, j, rep).permutation(X.shape[0])
+            out[j, rep] = oracles.mean_loss_ref(loss_fn, predict(j, perm),
+                                                y) - base
+    return out
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("path", ["network", "callable"])
+def test_importances_equal_a_per_shuffle_substream_replay(task, path):
+    net = _network(task, (6, 5), 61)
+    X = np.random.default_rng(62).normal(size=(40, N_IN))
+    y = net.predict(X) + np.random.default_rng(63).normal(size=40)
+    loss = "squared"
+    if task == "classification":
+        loss, y = "zero_one", (y >= 0.5).astype(np.float64)
+    model = net if path == "network" else net.predict
+    report = explain.permutation_importance(model, X, y, loss,
+                                            replications=5, seed=2**40 + 3)
+    assert np.any(report.importances != 0.0)
+    assert report.importances.tobytes() == _replayed(
+        model, X, y, loss, 5, 2**40 + 3).tobytes()
+
+
 def test_network_path_makes_one_forward_per_shuffle(monkeypatch):
     # what a traced benchmark run counts: width * replications + 1
     shapes = []
@@ -304,6 +345,51 @@ def test_save_load_round_trip(tmp_path):
     assert (loaded.loss, loaded.replications, loaded.seed, loaded.n_obs) == \
         ("squared", 4, 8, 12)
 
+
+# finite floats with the bit patterns a text round trip can lose, small
+# enough that a report's mean and sd stay in the float range (a report
+# refuses the rest, below)
+_FLOATS = (st.floats(-2.0**500, 2.0**500)
+           | st.sampled_from([-0.0, 5e-324, -2.5e-320,
+                              2.2250738585072014e-308]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       data=st.data(), baseline=_FLOATS,
+       loss=st.sampled_from(explain.LOSS_KINDS),
+       seed=st.integers(0, 2**64 - 1), n_obs=st.integers(2, 2**40))
+def test_save_load_keeps_every_bit(tmp_path_factory, shape, data, baseline,
+                                   loss, seed, n_obs):
+    values = data.draw(st.lists(_FLOATS, min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    report = explain.PfiReport(np.array(values).reshape(shape), baseline,
+                               loss, seed, n_obs)
+    outdir = tmp_path_factory.mktemp("pfi")
+    explain.save_pfi(report, outdir, "y1")
+    loaded = explain.load_pfi(outdir, "y1")
+    assert loaded.importances.tobytes() == report.importances.tobytes()
+    assert (np.float64(loaded.baseline_loss).tobytes()
+            == np.float64(baseline).tobytes())
+    assert (loaded.loss, loaded.seed, loaded.n_obs) == (loss, seed, n_obs)
+
+
+@pytest.mark.parametrize("row", [[8.988465674311579e307, 8.98846567431158e307],
+                                 [-1e155, 1e155]], ids=["mean", "sd"])
+def test_report_refuses_importances_beyond_the_float_range(tmp_path, row):
+    with pytest.raises(ValueError, match="importances of feature 2 have a "
+                       "mean or sd beyond the float range"):
+        explain.PfiReport(np.array([[0.0, 0.0], row]), 0.0, "squared", 0, 2)
+    # a table edited to hold them is refused by name
+    explain.save_pfi(explain.PfiReport(np.zeros((2, 2)), 0.0, "squared", 0,
+                                       2), tmp_path, "y3")
+    path = tmp_path / "y3_pfi.csv"
+    path.write_text(f"replication_1,replication_2\n0.0,0.0\n"
+                    f"{row[0]!r},{row[1]!r}\n")
+    with pytest.raises(ValueError, match="feature 2 have a mean or sd") \
+            as info:
+        explain.load_pfi(tmp_path, "y3")
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def _saved_report(tmp_path, replications=2):

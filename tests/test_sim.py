@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdexplain.errors import NonFiniteError
-from fdexplain.seeding import stage_seed, substream
+from fdexplain.seeding import stage_seed
 from fdexplain.sim import (INTENSITY_FLOOR, Dataset, LabelSet, SimParams,
                            TimeGrid, class_conditional_means,
                            generate_dataset, sample_labels)
@@ -260,8 +260,20 @@ def test_dataset_rows_match_one_signature_reference(count, seed):
     for i in range(ds.n):
         ref = oracles.generate_signature_ref(
             ds.labels.y1[i], ds.labels.y2[i], ds.labels.y3[i], SimParams(),
-            grid, substream(signature_seed, i))
+            grid, oracles.substream_ref(signature_seed, i))
         assert ref.tobytes() == ds.values[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_dataset_equals_a_per_signature_substream_loop(n):
+    # the bulk-hashed streams are the one-key streams, whatever n is
+    ds = generate_dataset(n, SimParams(), seed=13, grid=SMALL_GRID)
+    signature_seed = stage_seed(13, "signatures")
+    ref = np.array([oracles.generate_signature_ref(
+        ds.labels.y1[i], ds.labels.y2[i], ds.labels.y3[i], SimParams(),
+        SMALL_GRID, oracles.substream_ref(signature_seed, i))
+        for i in range(n)])
+    assert ref.tobytes() == ds.values.tobytes()
 
 
 def test_dataset_positivity():

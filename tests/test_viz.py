@@ -204,6 +204,17 @@ def test_plotspec_validation():
     with pytest.raises(ValueError, match="2 groups for 3 x values"):
         viz.PlotSpec("score-scatter", "t", "x", "y", x[:3],
                      [viz.Series("y", np.ones(3))], groups=np.array([0, 1]))
+    with pytest.raises(ValueError, match="values of series 'a' span more "
+                       "than the float range"):
+        viz.PlotSpec("group-means", "t", "x", "y", x[:3],
+                     [viz.Series("a", np.array([-1e308, 0.0, 1e308]))])
+    with pytest.raises(ValueError, match="series 'lo' to 'hi' span more"):
+        viz.PlotSpec("group-means", "t", "x", "y", x[:2],
+                     [viz.Series("lo", np.full(2, -1e308)),
+                      viz.Series("hi", np.full(2, 1e308))])
+    with pytest.raises(ValueError, match="x values span more than the float"):
+        viz.PlotSpec("eigenfunction", "t", "x", "y",
+                     np.array([0.0, 1.79e308]), [viz.Series("a", np.ones(2))])
     rows = [viz.Series(f"t_{i + 1}", np.ones(3)) for i in range(3)]
     with pytest.raises(ValueError, match="heatmap has 2 series for 3 x"):
         viz.PlotSpec("correlation-heatmap", "t", "x", "y", x[:3], rows[:2])
