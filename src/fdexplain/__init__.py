@@ -9,14 +9,13 @@ curve features. Deterministic end to end from one master seed.
 """
 
 from ._version import __version__
-from .errors import NonFiniteError, NumericalError, PipelineError
+from .errors import NumericalError, PipelineError
 from .explain import (PfiReport, load_pfi, permutation_importance,
                       rank_features, save_pfi)
-from .fpca import (FpcaModel, fit, inverse_transform, load_model, save_model,
-                   transform, variance_explained)
-from .kernels import BACKEND
+from .fpca import (FpcaModel, fit, load_model, save_model, transform,
+                   variance_explained)
 from .metrics import accuracy, f1, f1_info, mse, r2
-from .mlp import Mlp, MlpConfig, gradient_check, load_mlp, save_mlp, train
+from .mlp import Mlp, MlpConfig, load_mlp, save_mlp, train
 from .pipeline import (RunConfig, RunManifest, run_pipeline, split,
                        split_sizes)
 from .sim import (Dataset, LabelSet, SimParams, TimeGrid,
@@ -26,15 +25,19 @@ from .viz import (PlotSpec, correlation_heatmap, correlation_matrix,
                   group_means_plot, load_figure_spec, mean_pm_eigenfunction,
                   render_svg, save_figure, score_scatter)
 
+# no run records a backend; kept for `perfbench/worker.py` until the
+# harness stops reading it
+BACKEND = "numpy"
+
 __all__ = [
     "BACKEND", "__version__",
-    "NonFiniteError", "NumericalError", "PipelineError",
+    "NumericalError", "PipelineError",
     "PfiReport", "load_pfi", "permutation_importance", "rank_features",
     "save_pfi",
-    "FpcaModel", "fit", "inverse_transform", "load_model", "save_model",
-    "transform", "variance_explained",
+    "FpcaModel", "fit", "load_model", "save_model", "transform",
+    "variance_explained",
     "accuracy", "f1", "f1_info", "mse", "r2",
-    "Mlp", "MlpConfig", "gradient_check", "load_mlp", "save_mlp", "train",
+    "Mlp", "MlpConfig", "load_mlp", "save_mlp", "train",
     "RunConfig", "RunManifest", "run_pipeline", "split", "split_sizes",
     "Dataset", "LabelSet", "SimParams", "TimeGrid",
     "class_conditional_means", "generate_dataset", "sample_labels",

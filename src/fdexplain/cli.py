@@ -133,8 +133,7 @@ def _cmd_run(args) -> int:
     manifest = pipeline.run_pipeline(config)
     report = read_json(Path(config.outdir) / "report.json")
     print(f"run complete: {Path(config.outdir) / 'manifest.json'} "
-          f"(backend {manifest.backend}, "
-          f"{manifest.realized_width} components)")
+          f"({manifest.realized_width} components)")
     if report["deviations"]:
         print("ranking deviations: " + ", ".join(report["deviations"]),
               file=sys.stderr)

@@ -1,12 +1,10 @@
-"""Package-level error types."""
-
-
-class NonFiniteError(RuntimeError):
-    """A computation produced NaN or infinity where finite values are required."""
+"""Package-level error types: one for failed numerics, whether they did
+not converge or went non-finite, and one naming a failed run stage."""
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge or became unstable."""
+    """A numerical routine failed to converge, became unstable or produced
+    NaN or infinity where finite values are required."""
 
 
 class PipelineError(RuntimeError):

@@ -114,17 +114,6 @@ def transform(model: FpcaModel, data) -> np.ndarray:
     return (values - model.mean) @ model.eigenfunctions.T * model.grid.dt
 
 
-def inverse_transform(model: FpcaModel, scores: np.ndarray,
-                      k: int | None = None) -> np.ndarray:
-    """Reconstruct signatures from the first k component scores."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    if k is None:
-        k = model.n_components
-    if k > model.n_components:
-        raise ValueError(f"k={k} exceeds {model.n_components} components")
-    return model.mean + scores[:, :k] @ model.eigenfunctions[:k]
-
-
 def variance_explained(model: FpcaModel) -> tuple[np.ndarray, np.ndarray]:
     """Per-component variance fractions and their cumulative sums."""
     total = float(np.sum(model.eigenvalues))

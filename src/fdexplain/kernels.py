@@ -1,4 +1,4 @@
-"""Hot numeric kernels in plain numpy.
+"""Hot numeric kernels in plain numpy: the package's one numerics path.
 
 Two kinds of kernel live here:
 
@@ -26,9 +26,6 @@ every artifact of a run, depend on the last bit.
 """
 
 import numpy as np
-
-# the numerics implementation recorded in every run manifest and report
-BACKEND = "numpy"
 
 # the `task` argument of the network kernels: an MlpConfig.task value
 TASK_REGRESSION = "regression"

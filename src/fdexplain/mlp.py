@@ -40,9 +40,6 @@ STANDARDIZE_MIN_SD = 1e-12
 
 TASKS = ("classification", "regression")
 
-_CHECK_MAX_SAMPLES = 20
-_CHECK_MAX_FEATURES = 5
-
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -268,45 +265,6 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
     if n_val > 0:
         params = best_params
     return Mlp(config, sizes, params, mean, scale, passthrough, log)
-
-
-def gradient_check(config: MlpConfig, scores: np.ndarray, targets: np.ndarray,
-                   perturbation: float = 1e-5) -> float:
-    """Max symmetric relative error between analytic and central-difference
-    gradients at the seeded initialization, over every parameter."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    targets = _validate_targets(targets, config.task)
-    n, n_feat = scores.shape
-    if n > _CHECK_MAX_SAMPLES or n_feat > _CHECK_MAX_FEATURES:
-        raise ValueError(f"gradient_check is for instances up to "
-                         f"{_CHECK_MAX_SAMPLES}x{_CHECK_MAX_FEATURES}, "
-                         f"got {n}x{n_feat}")
-    mean, scale, _ = _standardization(scores, config.standardize)
-    X = _scaled(scores, mean, scale)
-
-    sizes = layer_sizes(n_feat, config)
-    rng = np.random.default_rng(config.seed)
-    params = init_params(sizes, rng)
-    task = config.task
-
-    analytic = np.empty_like(params)
-    kernels.mlp_loss_grad(params, sizes, X, targets, task, analytic)
-
-    worst = 0.0
-    scratch = np.empty_like(params)
-    for i in range(params.size):
-        saved = params[i]
-        params[i] = saved + perturbation
-        up = kernels.mlp_loss_grad(params, sizes, X, targets, task, scratch)
-        params[i] = saved - perturbation
-        down = kernels.mlp_loss_grad(params, sizes, X, targets, task, scratch)
-        params[i] = saved
-        numeric = (up - down) / (2.0 * perturbation)
-        # the floor keeps finite-difference roundoff on near-zero
-        # components (~1e-11 absolute at unit loss scale) out of the ratio
-        err = abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-6)
-        worst = max(worst, err)
-    return worst
 
 
 def save_mlp(model: Mlp, outdir: Path) -> None:

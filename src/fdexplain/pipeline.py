@@ -7,10 +7,9 @@ pins the materialized configuration, per-stage seeds and artifact paths.
 The stage bodies that hold logic (`write_splits`, `fit_fpca`,
 `train_network`, `compute_pfi`) are shared with the CLI subcommands, so
 a subcommand fed a run's stage seed writes the run's bytes.
-Its `backend` field, like the report's, always reads "numpy": the numpy
-kernels are the only numerics path. Re-running the same configuration
-into a clean directory reproduces every artifact byte for byte; manifest
-timings are the only varying fields.
+Re-running the same configuration into a clean directory reproduces
+every artifact byte for byte; manifest timings are the only varying
+fields.
 """
 
 import dataclasses
@@ -29,7 +28,6 @@ from ._version import __version__
 from .dataio import (_in_file, _write_lines, read_json, write_dataset,
                      write_json, write_scores, write_table_csv)
 from .errors import PipelineError
-from .kernels import BACKEND
 from .seeding import stage_seed
 from .sim import GROUPINGS, Dataset, SimParams, TimeGrid, generate_dataset
 
@@ -213,7 +211,6 @@ def split(dataset: Dataset, ratios=DEFAULT_RATIOS,
 class RunManifest:
     schema_version: int
     tool_version: str
-    backend: str
     config: dict
     config_digest: str
     stage_seeds: dict
@@ -292,8 +289,9 @@ def _figure_name(entry: str) -> str:
 def _parse_figure(entry: str) -> tuple[str, object]:
     """Head and argument of a figure-list entry (see `build_figure`): the
     grouping, the component, or the components and target of a scatter.
-    A malformed entry, or one naming component 0, is a ValueError naming
-    it."""
+    A malformed entry, one naming component 0, or a scatter that
+    `viz.score_scatter` cannot draw (more than two components, or a pair
+    whose target is not binary) is a ValueError naming it."""
     head, _, rest = entry.partition(":")
     components, _, target = rest.partition(":")
     if head == "scatter" and target not in TARGETS:
@@ -305,12 +303,32 @@ def _parse_figure(entry: str) -> tuple[str, object]:
         numbers = [int(rest)]
     elif head == "scatter" and all(c.isdecimal() for c in components):
         numbers = [int(c) for c in components]
+        if len(numbers) > 2:
+            raise ValueError(f"figure {entry!r} names {len(numbers)} "
+                             f"components; a scatter takes one or two")
+        if len(numbers) == 2 and TARGET_TASK[target] != "classification":
+            raise ValueError(f"figure {entry!r} pairs two components with "
+                             f"the continuous target {target}; a pair needs "
+                             f"a binary target")
     else:
         raise ValueError(f"unknown figure entry {entry!r}")
     if 0 in numbers:
         raise ValueError(f"figure {entry!r} names component 0; components "
                          f"count from 1")
     return head, (numbers, target) if head == "scatter" else numbers[0]
+
+
+def _check_components(figures, width: int) -> None:
+    """Refuse a figure entry that names a component beyond the `width`
+    components of the fitted model, before any figure is drawn."""
+    for entry in figures:
+        head, arg = _parse_figure(entry)
+        if head in ("heatmap", "groups"):
+            continue
+        component = max(arg[0]) if head == "scatter" else arg
+        if component > width:
+            raise ValueError(f"figure {entry!r} names component {component}; "
+                             f"the model has {width} components")
 
 
 def build_figure(entry: str, dataset: Dataset, train_ds: Dataset, model,
@@ -340,7 +358,9 @@ def build_figure(entry: str, dataset: Dataset, train_ds: Dataset, model,
 def emit_figures(config: RunConfig, outdir: Path, dataset: Dataset,
                  train_ds: Dataset, model, eval_scores: np.ndarray,
                  eval_labels) -> dict:
-    """Render every configured figure into `<outdir>/figures`."""
+    """Render every configured figure into `<outdir>/figures`, or none if
+    an entry names a component the model does not have."""
+    _check_components(config.figures, model.n_components)
     figdir = Path(outdir) / "figures"
     paths = {}
     for entry in config.figures:
@@ -374,7 +394,6 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
     report = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": config_digest(config),
-        "backend": BACKEND,
         "n": config.n,
         "split_sizes": dict(zip(SPLIT_NAMES, split_sizes(config.n,
                                                          config.ratios))),
@@ -410,7 +429,6 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
     sizes, variance = report["split_sizes"], report["variance_explained"]
     lines = [
         "# Run report", "",
-        f"- backend: {report['backend']}",
         f"- signatures: {report['n']} on {report['grid_count']} grid points",
         f"- master seed: {config.seed}",
         f"- split sizes: train {sizes['train']}, test {sizes['test']}, "
@@ -515,7 +533,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
     outdir = Path(config.outdir)
     write_json(outdir / "config.json", config.to_dict())
     run = RunManifest(schema_version=SCHEMA_VERSION, tool_version=__version__,
-                      backend=BACKEND, config=config.to_dict(),
+                      config=config.to_dict(),
                       config_digest=config_digest(config), stage_seeds={},
                       realized_width=None, artifacts={"config": "config.json"},
                       timings={}, completed_stages=[], failed_stage=None)
@@ -553,6 +571,8 @@ def run_pipeline(config: RunConfig) -> RunManifest:
         run.realized_width = model.n_components
         artifacts["fpca_model"] = "fpca/fpca.json"
         artifacts["variance_explained"] = "tables/variance_explained.csv"
+        # the realized width is known from here on: fail before training
+        _check_components(config.figures, model.n_components)
 
     with _stage("transform"):
         scores = {}

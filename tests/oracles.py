@@ -43,6 +43,13 @@ parsing; every table the writer prints must read back to its bits.
 `fdexplain.seeding.substreams` reproduces for many keys at once by
 hashing them with array operations; every stream must match it bit for
 bit.
+
+Two checks only the tests call live here too, with the behaviour they
+had in the package: `gradient_check` compares the loss kernel's analytic
+gradient with central differences at a network's seeded initialization
+(criterion 4 and test_mlp.py), and `inverse_transform` rebuilds
+signatures from their first k component scores (criterion 2's
+reconstruction and test_fpca.py).
 """
 
 import itertools
@@ -92,6 +99,17 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100,
                 v = v @ rot
     order = np.argsort(-np.diag(a), kind="stable")
     return np.diag(a)[order].copy(), v[:, order].copy()
+
+
+def inverse_transform(model, scores: np.ndarray,
+                      k: int | None = None) -> np.ndarray:
+    """Reconstruct signatures from the first k component scores."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    if k is None:
+        k = model.n_components
+    if k > model.n_components:
+        raise ValueError(f"k={k} exceeds {model.n_components} components")
+    return model.mean + scores[:, :k] @ model.eigenfunctions[:k]
 
 
 def exhaustive_importance(predict, X: np.ndarray, y: np.ndarray, loss_fn,
@@ -326,6 +344,52 @@ def train_ref(scores, targets, config):
     if n_val > 0:
         params = best_params
     return mlp.Mlp(config, sizes, params, mean, scale, passthrough, log)
+
+
+# gradients by central differences, on instances small enough to perturb
+# every parameter
+
+CHECK_MAX_SAMPLES = 20
+CHECK_MAX_FEATURES = 5
+
+
+def gradient_check(config, scores: np.ndarray, targets: np.ndarray,
+                   perturbation: float = 1e-5) -> float:
+    """Max symmetric relative error between analytic and central-difference
+    gradients at the seeded initialization, over every parameter."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    targets = mlp._validate_targets(targets, config.task)
+    n, n_feat = scores.shape
+    if n > CHECK_MAX_SAMPLES or n_feat > CHECK_MAX_FEATURES:
+        raise ValueError(f"gradient_check is for instances up to "
+                         f"{CHECK_MAX_SAMPLES}x{CHECK_MAX_FEATURES}, "
+                         f"got {n}x{n_feat}")
+    mean, scale, _ = mlp._standardization(scores, config.standardize)
+    X = mlp._scaled(scores, mean, scale)
+
+    sizes = mlp.layer_sizes(n_feat, config)
+    rng = np.random.default_rng(config.seed)
+    params = mlp.init_params(sizes, rng)
+    task = config.task
+
+    analytic = np.empty_like(params)
+    kernels.mlp_loss_grad(params, sizes, X, targets, task, analytic)
+
+    worst = 0.0
+    scratch = np.empty_like(params)
+    for i in range(params.size):
+        saved = params[i]
+        params[i] = saved + perturbation
+        up = kernels.mlp_loss_grad(params, sizes, X, targets, task, scratch)
+        params[i] = saved - perturbation
+        down = kernels.mlp_loss_grad(params, sizes, X, targets, task, scratch)
+        params[i] = saved
+        numeric = (up - down) / (2.0 * perturbation)
+        # the floor keeps finite-difference roundoff on near-zero
+        # components (~1e-11 absolute at unit loss scale) out of the ratio
+        err = abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-6)
+        worst = max(worst, err)
+    return worst
 
 
 # signature generation, one signature per call

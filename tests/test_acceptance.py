@@ -106,7 +106,7 @@ def test_criterion_04_gradient_correctness():
         for task, y in cases:
             config = mlp.MlpConfig(hidden_sizes=(50, 40, 30), task=task,
                                    seed=1)
-            err = mlp.gradient_check(config, X, y)
+            err = oracles.gradient_check(config, X, y)
             assert err < 1e-4, (task, err)
         assert time.perf_counter() - start < 30.0
 

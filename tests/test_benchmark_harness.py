@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import fdexplain
 from fdexplain import cli, dataio, kernels, mlp, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,5 +61,6 @@ def test_the_call_shapes_the_harness_uses_still_bind():
                           (dataio.write_scores, {"csv_path", "scores"})]:
         assert names <= set(inspect.signature(writer).parameters), writer
     # perfbench/worker.py
+    assert fdexplain.BACKEND == "numpy"
     config = pipeline.RunConfig(n=600, grid_count=100, seed=1, outdir="out")
     assert config.to_dict()["pfi"]["replications"] == config.pfi_replications

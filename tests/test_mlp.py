@@ -71,19 +71,19 @@ def test_layer_sizes_and_param_count():
 def test_gradient_check_classification():
     X, y = _toy("classification")
     config = mlp.MlpConfig(task="classification")
-    assert mlp.gradient_check(config, X, y) < 1e-4
+    assert oracles.gradient_check(config, X, y) < 1e-4
 
 
 def test_gradient_check_regression():
     X, y = _toy("regression")
     config = mlp.MlpConfig(task="regression")
-    assert mlp.gradient_check(config, X, y) < 1e-4
+    assert oracles.gradient_check(config, X, y) < 1e-4
 
 
 def test_gradient_check_rejects_large_instances():
     X, y = _toy("regression", n=25, f=4)
     with pytest.raises(ValueError, match="up to"):
-        mlp.gradient_check(mlp.MlpConfig(task="regression"), X, y)
+        oracles.gradient_check(mlp.MlpConfig(task="regression"), X, y)
 
 
 def test_linear_network_closed_form_gradient():

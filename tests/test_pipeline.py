@@ -314,16 +314,21 @@ def _run_config(grid, **fields) -> pipeline.RunConfig:
 
 def _figures(bundles: bool):
     """Figure lists of the entry grammar; `bundles:` entries only if the
-    training split holds two bundles."""
+    training split holds two bundles, and component pairs only with a
+    binary target."""
     component = st.integers(1, 999).map(str)
     heads = ("eigenfunction", "mean-pm") + ("bundles",) * bundles
+    binary = [t for t in pipeline.TARGETS
+              if pipeline.TARGET_TASK[t] == "classification"]
     return st.lists(st.one_of(
         st.just("heatmap"),
         st.sampled_from(GROUPINGS).map("groups:{}".format),
         st.tuples(st.sampled_from(heads), component).map(":".join),
+        st.tuples(st.just("scatter"), component,
+                  st.sampled_from(pipeline.TARGETS)).map(":".join),
         st.tuples(st.just("scatter"),
-                  st.lists(component, min_size=1, max_size=2).map(",".join),
-                  st.sampled_from(pipeline.TARGETS)).map(":".join))).map(tuple)
+                  st.lists(component, min_size=2, max_size=2).map(",".join),
+                  st.sampled_from(binary)).map(":".join))).map(tuple)
 
 
 @st.composite
@@ -482,6 +487,11 @@ def test_build_figure_rejects_unknown_entries():
                 "from 1")
       for entry in ["eigenfunction:0", "mean-pm:0", "bundles:0",
                     "scatter:0,1:y1", "scatter:2,0:y2", "scatter:00:y3"]],
+    (["scatter:1,2:y3"], "figure 'scatter:1,2:y3' pairs two components with "
+                         "the continuous target y3; a pair needs a binary "
+                         "target"),
+    (["scatter:1,2,3:y1"], "figure 'scatter:1,2,3:y1' names 3 components; a "
+                           "scatter takes one or two"),
 ])
 def test_run_refuses_figures_it_cannot_finish_before_writing(
         figures, message, tmp_path, capsys):
@@ -505,7 +515,6 @@ def test_smoke_manifest_and_artifacts(smoke_run):
     assert manifest.completed_stages == list(STAGES)
     assert set(manifest.timings) == set(STAGES)
     assert manifest.tool_version == __version__
-    assert manifest.backend == "numpy"
     assert manifest.realized_width == 100
     assert manifest.config_digest == pipeline.config_digest(config)
     assert set(manifest.stage_seeds) == {
@@ -524,6 +533,22 @@ def test_smoke_manifest_and_artifacts(smoke_run):
 
     on_disk = read_json(outdir / "manifest.json")
     assert on_disk == json.loads(json.dumps(manifest.to_dict()))
+
+
+def test_the_run_records_hold_these_keys(smoke_run):
+    """Every top-level key of a run's manifest.json and report.json. A key
+    that comes back or goes away shows up here as an edit to these lists;
+    perfbench reads `realized_width`, `completed_stages`, `timings`,
+    `ranking_checks`, `deviations` and `metrics`."""
+    _, _, outdir = smoke_run
+    assert sorted(read_json(outdir / "manifest.json")) == [
+        "artifacts", "completed_stages", "config", "config_digest",
+        "failed_stage", "realized_width", "schema_version", "stage_seeds",
+        "timings", "tool_version"]
+    assert sorted(read_json(outdir / "report.json")) == [
+        "config_digest", "deviations", "grid_count", "metrics", "n", "pfi",
+        "ranking_checks", "realized_width", "schema_version", "split_sizes",
+        "training", "variance_explained"]
 
 
 def test_smoke_run_holds_the_keys_the_benchmark_reads(smoke_run):
@@ -850,6 +875,43 @@ def test_cli_figures_refuses_a_figure_list_before_drawing(smoke_run, tmp_path,
     capsys.readouterr()
     assert cli.main(["figures", "--run", str(rundir)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (rundir / "figures").exists()
+
+
+def test_run_refuses_a_component_beyond_the_fit_before_training(tmp_path,
+                                                               capsys):
+    """n=100 leaves 72 training signatures, so the 50-point grid is the
+    realized width: component 51 fails the fpca stage, and nothing after
+    it runs."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 100, "grid": {"count": 50},
+                                "figures": ["heatmap", "eigenfunction:51"]}))
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path),
+                     "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'fpca' failed: figure 'eigenfunction:51' names "
+        "component 51; the model has 50 components\n")
+    manifest = read_json(outdir / "manifest.json")
+    assert manifest["failed_stage"] == "fpca"
+    assert manifest["completed_stages"] == ["simulate", "split"]
+    assert not (outdir / "models").exists()
+    assert not (outdir / "figures").exists()
+
+
+def test_cli_figures_refuses_a_component_beyond_the_fit_before_drawing(
+        smoke_run, tmp_path, capsys):
+    rundir = tmp_path / "run"
+    shutil.copytree(smoke_run[2], rundir)
+    shutil.rmtree(rundir / "figures")
+    path = rundir / "config.json"
+    meta = read_json(path)
+    meta["figures"] = ["heatmap", "scatter:1,101:y1"]
+    write_json(path, meta)
+    assert cli.main(["figures", "--run", str(rundir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: figure 'scatter:1,101:y1' names component 101; the model "
+        "has 100 components\n")
     assert not (rundir / "figures").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdexplain.errors import NonFiniteError
+from fdexplain.errors import NumericalError
 from fdexplain.seeding import stage_seed
 from fdexplain.sim import (INTENSITY_FLOOR, Dataset, LabelSet, SimParams,
                            TimeGrid, class_conditional_means,
@@ -218,7 +218,7 @@ def test_y3_shifts_every_peak_later():
 
 def test_non_finite_generation_aborts():
     params = SimParams(noise_sd=float("inf"))
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NumericalError, match="non-finite"):
         with np.errstate(invalid="ignore"):
             generate_dataset(3, params, seed=0, grid=SMALL_GRID)
 
