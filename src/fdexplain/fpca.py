@@ -75,8 +75,8 @@ def fit(train: Dataset) -> FpcaModel:
     if n < 2:
         raise ValueError("fPCA needs at least 2 training signatures")
     mean = train.values.mean(axis=0)
-    centered = train.values - mean
-    scaled = centered * np.sqrt(train.grid.dt)
+    scaled = train.values - mean
+    scaled *= np.sqrt(train.grid.dt)
     try:
         _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -2,8 +2,9 @@
 
 Two kinds of kernel live here:
 
-* the signature-curve batch generator, which broadcasts over the grid
-  and loops only over peak slots, and
+* the signature-curve batch generator, which fills its output a block
+  of rows at a time, in place, and within a block broadcasts over the
+  grid and loops only over peak slots, and
 * the network kernels (forward pass, loss gradient, one optimizer epoch)
   on a flat parameter vector.
 
@@ -17,12 +18,13 @@ into its first layer and the network above it. `_mean_loss` is the one
 definition of the training loss, shared by the gradient kernel and the
 per-epoch validation loss.
 
-The network kernels work in place on views of the flat vectors and on a
-few scratch arrays, but run the same floating-point operations in the
-same order as the one-array-per-operation reference kernels in
-tests/oracles.py, so their results match those bit for bit (checked in
-tests/test_kernels.py). Keep it that way: trained weights, and with them
-every artifact of a run, depend on the last bit.
+The kernels work in place on views of their outputs (the curve batch,
+the flat vectors) and on a few scratch arrays, but run the same
+floating-point operations in the same order as the
+one-array-per-operation reference kernels in tests/oracles.py, so their
+results match those bit for bit (checked in tests/test_kernels.py). Keep
+it that way: signatures, trained weights, and with them every artifact
+of a run, depend on the last bit.
 """
 
 import numpy as np
@@ -36,18 +38,42 @@ TASK_CLASSIFICATION = "classification"
 # signature curve batch
 # ---------------------------------------------------------------------------
 
+# values per scratch array of the curve kernel (256 KB): a block of rows
+# stays in cache, and the batch is the only full-size array
+_BLOCK_VALUES = 32768
+
+
 def curve_batch(t, centers, widths, amps, n_peaks, gain, boost,
                 boost_rate, base_amp, base_rate, t_start):
+    """Curves ``gain * (base + boost term + active peaks)``, one row per
+    signature, filled a block of about `_BLOCK_VALUES` values at a time."""
+    n, k_max = centers.shape
+    m = t.shape[0]
     u = t - t_start
-    out = np.tile(base_amp * np.exp(-base_rate * u), (centers.shape[0], 1))
-    out += boost[:, None] * np.exp(-boost_rate * u)[None, :]
-    k_max = centers.shape[1]
-    active = np.arange(k_max)[None, :] < n_peaks[:, None]
-    for k in range(k_max):
-        d = t[None, :] - centers[:, k, None]
-        peak = amps[:, k, None] * np.exp(-d * d / (2.0 * widths[:, k, None] ** 2))
-        out += np.where(active[:, k, None], peak, 0.0)
-    return gain[:, None] * out
+    base = base_amp * np.exp(-base_rate * u)
+    decay = np.exp(-boost_rate * u)
+    out = np.empty((n, m))
+    step = max(1, _BLOCK_VALUES // max(m, 1))
+    d_buf = np.empty((min(step, n), m))
+    peak_buf = np.empty_like(d_buf)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        block = out[rows]
+        d, peak = d_buf[:len(block)], peak_buf[:len(block)]
+        block[...] = base
+        np.multiply(boost[rows, None], decay, out=peak)
+        block += peak
+        for k in range(k_max):
+            np.subtract(t, centers[rows, k, None], out=d)
+            np.negative(d, out=peak)
+            peak *= d
+            peak /= 2.0 * widths[rows, k, None] ** 2
+            np.exp(peak, out=peak)
+            np.multiply(amps[rows, k, None], peak, out=peak)
+            peak[n_peaks[rows] <= k] = 0.0
+            block += peak
+        np.multiply(gain[rows, None], block, out=block)
+    return out
 
 
 # ---------------------------------------------------------------------------

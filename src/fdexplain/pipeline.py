@@ -110,6 +110,11 @@ class RunConfig:
         # refuses a figure list the run cannot finish
         if "bundles" in [_parse_figure(entry)[0] for entry in self.figures]:
             viz._check_bundle_size(n_train, viz.DEFAULT_BUNDLE_SIZE)
+        # a fit keeps at most min(points, training signatures - 1)
+        # components; the fpca stage checks the width it realizes
+        _check_components(self.figures, min(self.grid_count, n_train - 1),
+                          f"a fit of {n_train} training signatures on "
+                          f"{self.grid_count} points has at most")
         if set(self.mlp_configs) != set(TARGETS):
             raise ValueError(f"mlp_configs must cover exactly {TARGETS}")
         for t in TARGETS:
@@ -318,9 +323,10 @@ def _parse_figure(entry: str) -> tuple[str, object]:
     return head, (numbers, target) if head == "scatter" else numbers[0]
 
 
-def _check_components(figures, width: int) -> None:
+def _check_components(figures, width: int,
+                      model: str = "the model has") -> None:
     """Refuse a figure entry that names a component beyond the `width`
-    components of the fitted model, before any figure is drawn."""
+    components that `model` describes, before any figure is drawn."""
     for entry in figures:
         head, arg = _parse_figure(entry)
         if head in ("heatmap", "groups"):
@@ -328,7 +334,7 @@ def _check_components(figures, width: int) -> None:
         component = max(arg[0]) if head == "scatter" else arg
         if component > width:
             raise ValueError(f"figure {entry!r} names component {component}; "
-                             f"the model has {width} components")
+                             f"{model} {width} components")
 
 
 def build_figure(entry: str, dataset: Dataset, train_ds: Dataset, model,

@@ -198,14 +198,16 @@ def generate_dataset(n: int, params: SimParams, seed: int,
     n_peaks = np.where(y1, N_BASE_PEAKS, N_BASE_PEAKS - 1)
     gains = (1.0 + params.y2_gain * y2) * (1.0 + params.y3_gain * y3)
     boosts = np.where(y1, params.y1_boost_gain, 0.0)
-    raw = kernels.curve_batch(grid.points, centers, widths, amps, n_peaks,
-                              gains, boosts, BOOST_DECAY_RATE,
-                              params.baseline_intensity, params.baseline_decay,
-                              grid.start)
-    values = raw + params.noise_sd * noise
+    values = kernels.curve_batch(grid.points, centers, widths, amps, n_peaks,
+                                 gains, boosts, BOOST_DECAY_RATE,
+                                 params.baseline_intensity,
+                                 params.baseline_decay, grid.start)
+    # in place: the curves and the noise are the only n x grid arrays
+    noise *= params.noise_sd
+    values += noise
     if not np.all(np.isfinite(values)):
         raise NumericalError("signature generation produced non-finite values")
-    values = np.maximum(values, INTENSITY_FLOOR)
+    np.maximum(values, INTENSITY_FLOOR, out=values)
     provenance = {"seed": int(seed), "n": int(n), "params": params.to_dict()}
     return Dataset(grid, values, labels, provenance)
 

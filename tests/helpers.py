@@ -1,6 +1,7 @@
 """Shared construction helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -37,6 +38,17 @@ def grid_fields(max_count: int):
         lambda g: math.ulp(max(abs(g[1]), abs(g[2])))
         < (d := (g[2] - g[1]) / (g[0] - 1)) < math.inf
         and math.isfinite(g[1] + (g[0] - 1) * d))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while `fn()` runs, above what was allocated
+    before it (tracing starts with the call; numpy traces its array data)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def quadrature_norm(values: np.ndarray, dt: float) -> float:

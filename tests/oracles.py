@@ -7,10 +7,12 @@ Carlo sampling, peak counts by direct finite differencing of the
 emitted curve, and signature-curve batches by an explicit loop nest
 instead of broadcasting. None of them share code with the package.
 
-The network kernels are the exception: `mlp_forward_ref`,
+The kernels are the exception: `curve_batch_ref` is the full-array
+curve batch that `fdexplain.kernels.curve_batch` replaced with one that
+fills its output a block of rows at a time, in place; `mlp_forward_ref`,
 `mlp_loss_grad_ref` and `adam_epoch_ref` are the straightforward numpy
 kernels that `fdexplain.kernels` replaced with in-place, view-based
-versions, and `init_params_ref` is the offset-arithmetic initializer
+versions; and `init_params_ref` is the offset-arithmetic initializer
 that `fdexplain.mlp.init_params` replaced. They deliberately share the
 route, the same floating-point operations in the same order, so the
 library code must reproduce them bit for bit; the maths itself is
@@ -164,6 +166,23 @@ def curve_batch_loops(t, centers, widths, amps, n_peaks, gain, boost,
                 v += amps[i, k] * np.exp(-d * d / (2.0 * widths[i, k] * widths[i, k]))
             out[i, j] = gain[i] * v
     return out
+
+
+def curve_batch_ref(t, centers, widths, amps, n_peaks, gain, boost,
+                    boost_rate, base_amp, base_rate, t_start):
+    """Signature-curve batch with one full-size array per operation; the
+    route that `fdexplain.kernels.curve_batch` runs a block of rows at a
+    time and must match bit for bit."""
+    u = t - t_start
+    out = np.tile(base_amp * np.exp(-base_rate * u), (centers.shape[0], 1))
+    out += boost[:, None] * np.exp(-boost_rate * u)[None, :]
+    k_max = centers.shape[1]
+    active = np.arange(k_max)[None, :] < n_peaks[:, None]
+    for k in range(k_max):
+        d = t[None, :] - centers[:, k, None]
+        peak = amps[:, k, None] * np.exp(-d * d / (2.0 * widths[:, k, None] ** 2))
+        out += np.where(active[:, k, None], peak, 0.0)
+    return gain[:, None] * out
 
 
 # network kernels: one fresh array per operation, the route that
@@ -408,7 +427,7 @@ def generate_signature_ref(y1, y2, y3, params, grid, rng):
     n_peaks = sim.N_BASE_PEAKS if y1 == 1 else sim.N_BASE_PEAKS - 1
     gain = (1.0 + params.y2_gain * y2) * (1.0 + params.y3_gain * y3)
     boost = params.y1_boost_gain if y1 == 1 else 0.0
-    raw = kernels.curve_batch(
+    raw = curve_batch_ref(
         grid.points, centers[None, :], widths[None, :], amps[None, :],
         np.array([n_peaks], dtype=np.int64), np.array([gain]), np.array([boost]),
         sim.BOOST_DECAY_RATE, params.baseline_intensity, params.baseline_decay,

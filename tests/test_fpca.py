@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdexplain import fpca
-from fdexplain.sim import TimeGrid
+from fdexplain.sim import SimParams, TimeGrid, generate_dataset
 
 import helpers
 import oracles
@@ -86,6 +86,15 @@ def test_rank_truncation_drops_noise_components():
     model = fpca.fit(ds)
     assert model.n_components == 2
     assert model.eigenvalues[1] > fpca.RANK_TRUNCATION_RATIO * model.eigenvalues[0]
+
+
+def test_fit_centers_its_input_in_one_array():
+    """The centered, sqrt(dt)-scaled input is one n x grid array, so the
+    fit's allocation peak beyond its input stays below four such arrays."""
+    n, grid = 400, TimeGrid()
+    train = generate_dataset(n, SimParams(), seed=5, grid=grid)
+    peak = helpers.traced_peak(lambda: fpca.fit(train))
+    assert peak / (n * grid.count * 8) <= 3.9
 
 
 def test_model_arrays_immutable():

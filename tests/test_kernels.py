@@ -1,8 +1,9 @@
 """Kernel correctness and determinism.
 
-The vectorized curve kernel must agree to roundoff with the loop-nest
-reference in the test oracles and with closed forms, the network kernels
-must reproduce the reference route in the oracles bit for bit, and fresh
+The blocked curve kernel must agree to roundoff with the loop-nest
+reference in the test oracles and with closed forms, and reproduce the
+full-array route in the oracles bit for bit; the network kernels must
+reproduce the reference route in the oracles bit for bit, and fresh
 interpreters must import the package cleanly and reproduce its results.
 """
 
@@ -12,12 +13,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdexplain
 from fdexplain import kernels, mlp
 
-from oracles import (adam_epoch_ref, curve_batch_loops, mlp_forward_ref,
-                     mlp_loss_grad_ref)
+from oracles import (adam_epoch_ref, curve_batch_loops, curve_batch_ref,
+                     mlp_forward_ref, mlp_loss_grad_ref)
 
 
 def _curve_args(n=12, m=80, k=4, seed=0):
@@ -46,6 +49,27 @@ def test_curve_loop_vs_vectorized():
     args = _curve_args()
     assert _rel_max(curve_batch_loops(*args), kernels.curve_batch(*args)) \
         <= 1e-12
+
+
+@st.composite
+def _curve_shapes(draw):
+    """(n, m, k, seed): grid counts that are not multiples of 8 and one
+    whose block is a single row; one row, one block and one block plus a
+    row; 0 to 5 peak slots."""
+    m = draw(st.sampled_from([2, 3, 101, 1000, kernels._BLOCK_VALUES + 3]))
+    block = max(1, kernels._BLOCK_VALUES // m)
+    return (draw(st.sampled_from([1, block, block + 1])), m,
+            draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_curve_shapes())
+def test_curve_batch_matches_the_full_array_route_bit_for_bit(shape):
+    args = _curve_args(*shape)
+    got = kernels.curve_batch(*args)
+    want = curve_batch_ref(*args)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_curve_zero_peaks_closed_form():

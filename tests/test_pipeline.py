@@ -141,6 +141,16 @@ def test_runconfig_validation():
         pipeline.RunConfig(pfi_replications=0)
 
 
+def test_runconfig_bounds_components_by_the_training_signatures():
+    """n=20 trains on 14 signatures: their centered matrix has rank 13,
+    below the 50 grid points."""
+    pipeline.RunConfig(n=20, grid_count=50, figures=("eigenfunction:13",))
+    with pytest.raises(ValueError, match="names component 14; a fit of 14 "
+                       "training signatures on 50 points has at most 13 "
+                       "components"):
+        pipeline.RunConfig(n=20, grid_count=50, figures=("mean-pm:14",))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_run_refuses_an_empty_split_before_writing(n, tmp_path, capsys):
     with pytest.raises(ValueError, match="empty split"):
@@ -312,23 +322,27 @@ def _run_config(grid, **fields) -> pipeline.RunConfig:
                               grid_stop=stop, **fields)
 
 
-def _figures(bundles: bool):
-    """Figure lists of the entry grammar; `bundles:` entries only if the
+def _figures(bundles: bool, width: int):
+    """Figure lists of the entry grammar that `RunConfig` admits: components
+    up to the `width` a fit can reach, `bundles:` entries only if the
     training split holds two bundles, and component pairs only with a
     binary target."""
-    component = st.integers(1, 999).map(str)
-    heads = ("eigenfunction", "mean-pm") + ("bundles",) * bundles
-    binary = [t for t in pipeline.TARGETS
-              if pipeline.TARGET_TASK[t] == "classification"]
-    return st.lists(st.one_of(
-        st.just("heatmap"),
-        st.sampled_from(GROUPINGS).map("groups:{}".format),
-        st.tuples(st.sampled_from(heads), component).map(":".join),
-        st.tuples(st.just("scatter"), component,
-                  st.sampled_from(pipeline.TARGETS)).map(":".join),
-        st.tuples(st.just("scatter"),
-                  st.lists(component, min_size=2, max_size=2).map(",".join),
-                  st.sampled_from(binary)).map(":".join))).map(tuple)
+    entries = [st.just("heatmap"),
+               st.sampled_from(GROUPINGS).map("groups:{}".format)]
+    if width >= 1:
+        component = st.integers(1, width).map(str)
+        heads = ("eigenfunction", "mean-pm") + ("bundles",) * bundles
+        binary = [t for t in pipeline.TARGETS
+                  if pipeline.TARGET_TASK[t] == "classification"]
+        entries += [
+            st.tuples(st.sampled_from(heads), component).map(":".join),
+            st.tuples(st.just("scatter"), component,
+                      st.sampled_from(pipeline.TARGETS)).map(":".join),
+            st.tuples(st.just("scatter"),
+                      st.lists(component, min_size=2, max_size=2)
+                      .map(",".join),
+                      st.sampled_from(binary)).map(":".join)]
+    return st.lists(st.one_of(entries)).map(tuple)
 
 
 @st.composite
@@ -337,15 +351,17 @@ def _run_configs(draw) -> pipeline.RunConfig:
     ratios = draw(st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)).map(
         lambda ab: (ab[0], ab[1], 1.0 - ab[0] - ab[1])))
     n_train = pipeline.split_sizes(n, ratios)[0]
+    grid = draw(grid_fields(10**5))
     return draw(st.builds(
-        _run_config, grid=grid_fields(10**5), n=st.just(n),
+        _run_config, grid=st.just(grid), n=st.just(n),
         sim=st.builds(SimParams, **{
             f.name: (st.tuples(*[_positive] * 4) if f.name in _PEAK_FIELDS
                      else st.floats(0.0, 10.0))
             for f in dataclasses.fields(SimParams)}),
         ratios=st.just(ratios), seed=st.integers(0, 2**63),
         mlp_configs=_networks(), pfi_replications=st.integers(1, 1000),
-        figures=_figures(n_train >= 2 * viz.DEFAULT_BUNDLE_SIZE),
+        figures=_figures(n_train >= 2 * viz.DEFAULT_BUNDLE_SIZE,
+                         min(grid[0], n_train - 1)),
         outdir=st.text()))
 
 
@@ -492,6 +508,12 @@ def test_build_figure_rejects_unknown_entries():
                          "target"),
     (["scatter:1,2,3:y1"], "figure 'scatter:1,2,3:y1' names 3 components; a "
                            "scatter takes one or two"),
+    # 72 training signatures on 50 points: at most 50 components
+    (["heatmap", "eigenfunction:150"], "figure 'eigenfunction:150' names "
+     "component 150; a fit of 72 training signatures on 50 points has at "
+     "most 50 components"),
+    (["scatter:1,51:y2"], "figure 'scatter:1,51:y2' names component 51; a "
+     "fit of 72 training signatures on 50 points has at most 50 components"),
 ])
 def test_run_refuses_figures_it_cannot_finish_before_writing(
         figures, message, tmp_path, capsys):
@@ -880,19 +902,24 @@ def test_cli_figures_refuses_a_figure_list_before_drawing(smoke_run, tmp_path,
 
 def test_run_refuses_a_component_beyond_the_fit_before_training(tmp_path,
                                                                capsys):
-    """n=100 leaves 72 training signatures, so the 50-point grid is the
-    realized width: component 51 fails the fpca stage, and nothing after
-    it runs."""
+    """n=100 leaves 72 training signatures on a 50-point grid, so the config
+    admits component 50; but noiseless signatures span only a few
+    components above the rank cutoff, so the fit realizes fewer: component
+    50 fails the fpca stage, and nothing after it runs."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"n": 100, "grid": {"count": 50},
-                                "figures": ["heatmap", "eigenfunction:51"]}))
+    path.write_text(json.dumps({
+        "n": 100, "grid": {"count": 50},
+        "sim_params": dataclasses.asdict(SimParams().noiseless()),
+        "figures": ["heatmap", "eigenfunction:50"]}))
     outdir = tmp_path / "run"
     assert cli.main(["run", "--config", str(path),
                      "--outdir", str(outdir)]) == 1
-    assert capsys.readouterr().err == (
-        "error: stage 'fpca' failed: figure 'eigenfunction:51' names "
-        "component 51; the model has 50 components\n")
     manifest = read_json(outdir / "manifest.json")
+    width = manifest["realized_width"]
+    assert width < 50
+    assert capsys.readouterr().err == (
+        "error: stage 'fpca' failed: figure 'eigenfunction:50' names "
+        f"component 50; the model has {width} components\n")
     assert manifest["failed_stage"] == "fpca"
     assert manifest["completed_stages"] == ["simulate", "split"]
     assert not (outdir / "models").exists()
@@ -901,17 +928,23 @@ def test_run_refuses_a_component_beyond_the_fit_before_training(tmp_path,
 
 def test_cli_figures_refuses_a_component_beyond_the_fit_before_drawing(
         smoke_run, tmp_path, capsys):
+    """The config admits component 51 of a 100-point grid; the saved model,
+    cut to 50 components as a rank-deficient fit would be, does not."""
     rundir = tmp_path / "run"
     shutil.copytree(smoke_run[2], rundir)
     shutil.rmtree(rundir / "figures")
+    model = fpca.load_model(rundir / "fpca")
+    fpca.save_model(dataclasses.replace(
+        model, eigenfunctions=model.eigenfunctions[:50],
+        eigenvalues=model.eigenvalues[:50]), rundir / "fpca")
     path = rundir / "config.json"
     meta = read_json(path)
-    meta["figures"] = ["heatmap", "scatter:1,101:y1"]
+    meta["figures"] = ["heatmap", "scatter:1,51:y1"]
     write_json(path, meta)
     assert cli.main(["figures", "--run", str(rundir)]) == 1
     assert capsys.readouterr().err == (
-        "error: figure 'scatter:1,101:y1' names component 101; the model "
-        "has 100 components\n")
+        "error: figure 'scatter:1,51:y1' names component 51; the model "
+        "has 50 components\n")
     assert not (rundir / "figures").exists()
 
 

@@ -288,6 +288,15 @@ def test_dataset_paper_scale_shape():
     assert len(ds.labels) == 10000
 
 
+def test_dataset_holds_at_most_three_signature_matrices():
+    """The curves are built in place and the noise is added into them: the
+    allocation peak stays near two n x grid arrays (it was six)."""
+    n, grid = 400, TimeGrid()
+    peak = helpers.traced_peak(
+        lambda: generate_dataset(n, SimParams(), seed=5, grid=grid))
+    assert peak / (n * grid.count * 8) <= 3.0
+
+
 def test_dataset_rejects_empty():
     with pytest.raises(ValueError):
         generate_dataset(0, SimParams(), seed=0, grid=SMALL_GRID)
