@@ -135,22 +135,22 @@ def _network_rows(net, X):
     only what a shuffle changes.
 
     Permuting input j adds a rank-1 term to the first layer's
-    pre-activations Z = X_s W1 + b1 (X_s the scaled input):
-    (X_s[perm, j] - X_s[:, j]) outer W1[j]. So Z is computed once, the
+    pre-activations Z = X W1 + b1:
+    (X[perm, j] - X[:, j]) outer W1[j]. So Z is computed once, the
     hidden activations of all of a feature's shuffles come from one array
     operation, and only the network above the first layer runs again, one
     `mlp_forward` per shuffle. A block holds len(perms) * n * W1.shape[1]
     values. The sum runs in another order than the full product, so
     real-valued predictions can move in their last bits.
     """
-    X_s = mlp._scaled(X, net.feature_mean, net.feature_scale)
-    baseline = net._head(kernels.mlp_forward(net.params, net.sizes, X_s))
+    X = mlp._inputs(X, net.sizes[0])
+    baseline = net._head(kernels.mlp_forward(net.params, net.sizes, X))
     W1, b1, tail, tail_sizes = kernels._split_first(net.params, net.sizes)
-    Z = np.dot(X_s, W1)
+    Z = np.dot(X, W1)
     Z += b1
 
     def rows(j, perms):
-        col = X_s[:, j]
+        col = X[:, j]
         shift = col[perms]
         shift -= col
         hidden = shift[:, :, None] * W1[j]

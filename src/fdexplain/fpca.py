@@ -78,7 +78,7 @@ def fit(train: Dataset) -> FpcaModel:
     scaled = train.values - mean
     scaled *= np.sqrt(train.grid.dt)
     try:
-        _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
+        svals, vt = np.linalg.svd(scaled, full_matrices=False)[1:]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD failed on {n}x{m} centered data matrix: {exc}") from exc
@@ -87,14 +87,17 @@ def fit(train: Dataset) -> FpcaModel:
     svals = svals[:r]
     vt = vt[:r]
     eigenvalues = svals ** 2 / (n - 1)
-    if eigenvalues[0] > 0.0:
-        keep = int(np.sum(eigenvalues >= RANK_TRUNCATION_RATIO * eigenvalues[0]))
-        eigenvalues = eigenvalues[:keep]
-        vt = vt[:keep]
+    if eigenvalues[0] == 0.0:
+        raise ValueError(f"the {n} training signatures do not vary: every "
+                         f"eigenvalue is 0")
+    keep = int(np.sum(eigenvalues >= RANK_TRUNCATION_RATIO * eigenvalues[0]))
+    eigenvalues = eigenvalues[:keep]
+    vt = vt[:keep]
 
     # orient: quadrature inner product of component j with the first
     # centered signature is scaled[0] @ V_j
     first_scores = scaled[0] @ vt.T
+    del scaled
     for j in range(vt.shape[0]):
         if first_scores[j] < -SIGN_TIE_TOL:
             vt[j] = -vt[j]
@@ -103,6 +106,8 @@ def fit(train: Dataset) -> FpcaModel:
             if nonzero.size and vt[j, nonzero[0]] < 0.0:
                 vt[j] = -vt[j]
 
+    # a fresh array, not `vt` scaled in place: a view of a truncated `vt`
+    # would keep all min(n, m) of the SVD's rows alive with the model
     eigenfunctions = vt / np.sqrt(train.grid.dt)
     return FpcaModel(train.grid, mean, np.ascontiguousarray(eigenfunctions),
                      eigenvalues.copy(), n)

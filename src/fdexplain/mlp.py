@@ -16,9 +16,14 @@ the weights of the lowest validation loss seen. On separable data the
 cross-entropy falls geometrically toward zero, about 1% per epoch, so
 without MIN_DELTA every epoch is a new best and training runs to
 `max_epochs`.
+
+A network reads the component scores as given. Raw scores keep the
+sqrt-eigenvalue scale, which already orders the inputs by signal content;
+standardizing would blow the ~990 noise columns of the default run up to
+unit variance and swamp training at this width.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +41,6 @@ ADAM_EPS = 1e-8
 # smallest validation-loss drop that resets the patience counter; fixed
 # before measuring, not tuned
 MIN_DELTA = 1e-4
-STANDARDIZE_MIN_SD = 1e-12
 
 TASKS = ("classification", "regression")
 
@@ -51,9 +55,14 @@ class MlpConfig:
     patience: int = 20
     val_fraction: float = 0.1
     seed: int = 0
-    standardize: bool = True
+    # kept for `perfbench/micro.py`, which passes `standardize=False`, until
+    # the harness builds `MlpConfig()`; networks read raw scores
+    standardize: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, standardize):
+        if standardize:
+            raise ValueError("standardize=True is not supported: networks "
+                             "read raw scores")
         _float_fields(self)
         object.__setattr__(self, "hidden_sizes",
                            tuple(int(h) for h in self.hidden_sizes))
@@ -119,37 +128,44 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled(scores: np.ndarray, mean: np.ndarray,
-            scale: np.ndarray) -> np.ndarray:
-    """`(scores - mean) / scale`, C-contiguous: a network's input."""
+def _inputs(scores: np.ndarray, width: int) -> np.ndarray:
+    """`scores` as a C-contiguous 2-D float array of `width` columns: a
+    network's input."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    if scores.shape[1] != mean.size:
-        raise ValueError(f"expected {mean.size} features, "
-                         f"got {scores.shape[1]}")
-    # (x - +0.0) / 1.0 is x bit for bit, -0.0 included; a -0.0 mean
-    # would turn -0.0 into +0.0, so only an all-+0.0 mean is skipped
-    if not (np.count_nonzero(mean) or np.count_nonzero(np.signbit(mean))
-            or np.count_nonzero(scale != 1.0)):
-        return np.ascontiguousarray(scores)
-    return np.ascontiguousarray((scores - mean) / scale)
+    if scores.shape[1] != width:
+        raise ValueError(f"expected {width} features, got {scores.shape[1]}")
+    return np.ascontiguousarray(scores)
 
 
 @dataclass(eq=False)
 class Mlp:
-    """Trained network: flat parameters plus standardization state."""
+    """Trained network: config, layer widths, flat parameters and log."""
 
     config: MlpConfig
     sizes: np.ndarray
     params: np.ndarray
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
-    passthrough: np.ndarray
-    log: TrainingLog
+    # kept for `perfbench/micro.py`, which passes the identity scaling
+    # positionally, until the harness builds `Mlp(config, sizes, params,
+    # log=...)`; any other scaling is refused
+    feature_mean: InitVar[np.ndarray | None] = None
+    feature_scale: InitVar[np.ndarray | None] = None
+    passthrough: InitVar[np.ndarray | None] = None
+    log: TrainingLog = field(default_factory=TrainingLog)
+
+    def __post_init__(self, *scaling):
+        width = int(self.sizes[0])
+        for name, given, identity in zip(
+                ("feature_mean", "feature_scale", "passthrough"), scaling,
+                (np.zeros(width), np.ones(width), np.zeros(width, bool))):
+            if given is not None and (np.asarray(given, identity.dtype)
+                                      .tobytes() != identity.tobytes()):
+                raise ValueError(f"{name} must be the identity of {width} "
+                                 f"inputs: networks read raw scores")
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         """Class probabilities (classification) or real predictions (regression)."""
-        return self._head(kernels.mlp_forward(self.params, self.sizes, _scaled(
-            scores, self.feature_mean, self.feature_scale)))
+        return self._head(kernels.mlp_forward(
+            self.params, self.sizes, _inputs(scores, self.sizes[0])))
 
     def _head(self, z: np.ndarray) -> np.ndarray:
         """Raw network outputs (any shape) mapped to the predictions of
@@ -163,17 +179,6 @@ class Mlp:
         if self.config.task != "classification":
             raise ValueError("hard labels only exist for classification")
         return (self.predict(scores) >= 0.5).astype(np.int64)
-
-
-def _standardization(scores: np.ndarray, enabled: bool):
-    n_feat = scores.shape[1]
-    if not enabled:
-        return np.zeros(n_feat), np.ones(n_feat), np.zeros(n_feat, dtype=bool)
-    mean = scores.mean(axis=0)
-    sd = scores.std(axis=0)
-    passthrough = sd < STANDARDIZE_MIN_SD
-    scale = np.where(passthrough, 1.0, sd)
-    return mean, scale, passthrough
 
 
 def _validate_targets(targets: np.ndarray, task: str) -> np.ndarray:
@@ -201,14 +206,11 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
     (or the final weights when `val_fraction` is 0); its log records why
     training stopped (see TrainingLog).
     """
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     targets = _validate_targets(targets, config.task)
-    n, n_feat = scores.shape
+    n, n_feat = X.shape
     if targets.size != n:
         raise ValueError(f"{n} score rows but {targets.size} targets")
-
-    mean, scale, passthrough = _standardization(scores, config.standardize)
-    X = _scaled(scores, mean, scale)
 
     rng = np.random.default_rng(config.seed)
     n_val = int(round(config.val_fraction * n))
@@ -264,7 +266,7 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
 
     if n_val > 0:
         params = best_params
-    return Mlp(config, sizes, params, mean, scale, passthrough, log)
+    return Mlp(config, sizes, params, log=log)
 
 
 def save_mlp(model: Mlp, outdir: Path) -> None:
@@ -274,9 +276,6 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
     write_json(outdir / "mlp.json", {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
-        "feature_mean": [float(v) for v in model.feature_mean],
-        "feature_scale": [float(v) for v in model.feature_scale],
-        "passthrough": [bool(v) for v in model.passthrough],
         "log": asdict(model.log),
     })
     for layer, (W, b) in enumerate(kernels._layer_views(model.params,
@@ -292,8 +291,7 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
 
 # the shape of `mlp.json`, as `load_mlp` reads it; `MlpConfig.from_dict`
 # checks the fields of `config`
-_JSON_KINDS = {"config": {}, "feature_mean": [0.0], "feature_scale": [0.0],
-               "passthrough": [False], "log": asdict(TrainingLog([0.0], [0.0]))}
+_JSON_KINDS = {"config": {}, "log": asdict(TrainingLog([0.0], [0.0]))}
 
 
 def load_mlp(outdir: Path) -> Mlp:
@@ -305,10 +303,6 @@ def load_mlp(outdir: Path) -> Mlp:
         config = MlpConfig.from_dict(meta["config"])
     _, first = read_table_csv(outdir / "layer_0.csv")
     sizes = layer_sizes(first.shape[0] - 1, config)
-    for key in ("feature_mean", "feature_scale", "passthrough"):
-        if len(meta[key]) != sizes[0]:
-            raise ValueError(f"{path}: {key} has {len(meta[key])} entries, "
-                             f"expected {sizes[0]}, one per input")
     params = np.empty(n_params(sizes))
     for layer, (W, b) in enumerate(kernels._layer_views(params, sizes)):
         csv_path = outdir / f"layer_{layer}.csv"
@@ -320,8 +314,4 @@ def load_mlp(outdir: Path) -> Mlp:
         W[:] = tab[1:]
     if (outdir / f"layer_{sizes.size - 1}.csv").exists():
         raise ValueError(f"{path}: more layer CSVs than {sizes.tolist()}")
-    log = TrainingLog(**meta["log"])
-    return Mlp(config, sizes, params,
-               np.asarray(meta["feature_mean"], dtype=np.float64),
-               np.asarray(meta["feature_scale"], dtype=np.float64),
-               np.asarray(meta["passthrough"], dtype=bool), log)
+    return Mlp(config, sizes, params, log=TrainingLog(**meta["log"]))

@@ -73,11 +73,7 @@ NEGLIGIBLE_FRACTION = 0.05
 
 
 def _default_mlp_configs() -> dict:
-    # Raw scores keep the sqrt-eigenvalue scale, which already orders the
-    # inputs by signal content; standardizing would blow the ~990 noise
-    # columns up to unit variance and swamp training at this width.
-    return {t: mlp.MlpConfig(task=TARGET_TASK[t], standardize=False)
-            for t in TARGETS}
+    return {t: mlp.MlpConfig(task=TARGET_TASK[t]) for t in TARGETS}
 
 
 @dataclass

@@ -304,14 +304,11 @@ def init_params_ref(sizes, rng):
 def train_ref(scores, targets, config):
     """`mlp.train` under the plain patience rule: `patience` epochs in a
     row without a new lowest validation loss end training."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     targets = mlp._validate_targets(targets, config.task)
-    n, n_feat = scores.shape
+    n, n_feat = X.shape
     if targets.size != n:
         raise ValueError(f"{n} score rows but {targets.size} targets")
-
-    mean, scale, passthrough = mlp._standardization(scores, config.standardize)
-    X = (scores - mean) / scale
 
     rng = np.random.default_rng(config.seed)
     n_val = int(round(config.val_fraction * n))
@@ -362,7 +359,7 @@ def train_ref(scores, targets, config):
 
     if n_val > 0:
         params = best_params
-    return mlp.Mlp(config, sizes, params, mean, scale, passthrough, log)
+    return mlp.Mlp(config, sizes, params, log=log)
 
 
 # gradients by central differences, on instances small enough to perturb
@@ -376,15 +373,14 @@ def gradient_check(config, scores: np.ndarray, targets: np.ndarray,
                    perturbation: float = 1e-5) -> float:
     """Max symmetric relative error between analytic and central-difference
     gradients at the seeded initialization, over every parameter."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(scores,
+                                                      dtype=np.float64)))
     targets = mlp._validate_targets(targets, config.task)
-    n, n_feat = scores.shape
+    n, n_feat = X.shape
     if n > CHECK_MAX_SAMPLES or n_feat > CHECK_MAX_FEATURES:
         raise ValueError(f"gradient_check is for instances up to "
                          f"{CHECK_MAX_SAMPLES}x{CHECK_MAX_FEATURES}, "
                          f"got {n}x{n_feat}")
-    mean, scale, _ = mlp._standardization(scores, config.standardize)
-    X = mlp._scaled(scores, mean, scale)
 
     sizes = mlp.layer_sizes(n_feat, config)
     rng = np.random.default_rng(config.seed)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fdexplain
@@ -40,6 +41,28 @@ def test_traced_benchmark_run_reports_no_problems(workload):
         assert record["problems"] == [], record
     assert lines[-1]["correct"] is True
     assert lines[-1]["failed"] == 0
+
+
+def test_the_micro_benchmark_network_builds_and_reads_raw_scores():
+    """`perfbench/micro.py` builds its network with an identity scaling
+    given positionally; any other scaling, or `standardize=True`, is
+    refused rather than ignored."""
+    rng = np.random.default_rng(3)
+    sizes = np.array([6, 5, 4, 1], dtype=np.int64)
+    params = rng.normal(scale=0.05, size=mlp.n_params(sizes))
+    identity = [np.zeros(6), np.ones(6), np.zeros(6, dtype=bool)]
+    net = mlp.Mlp(mlp.MlpConfig(standardize=False), sizes, params, *identity,
+                  mlp.TrainingLog())
+    X = rng.normal(size=(20, 6))
+    assert net.predict(X).tobytes() == mlp.Mlp(
+        mlp.MlpConfig(), sizes, params).predict(X).tobytes()
+    with pytest.raises(ValueError, match="standardize"):
+        mlp.MlpConfig(standardize=True)
+    for i, name in enumerate(["feature_mean", "feature_scale"]):
+        scaling = list(identity)
+        scaling[i] = scaling[i] + 0.5
+        with pytest.raises(ValueError, match=f"{name} must be the identity"):
+            mlp.Mlp(mlp.MlpConfig(), sizes, params, *scaling)
 
 
 def test_the_call_shapes_the_harness_uses_still_bind():

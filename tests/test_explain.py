@@ -183,26 +183,23 @@ def test_row_losses_equal_the_one_replication_mean(k, n, loss, seed):
 N_IN = 5
 
 
-def _network(task, hidden, seed, standardize=False):
-    """A network with random weights and biases; a standardizing one gets
-    a random input mean and scale."""
+def _network(task, hidden, seed):
+    """A network with random weights and biases."""
     rng = np.random.default_rng(seed)
-    config = mlp.MlpConfig(hidden_sizes=hidden, task=task,
-                           standardize=standardize)
+    config = mlp.MlpConfig(hidden_sizes=hidden, task=task)
     sizes = mlp.layer_sizes(N_IN, config)
     params = rng.normal(size=mlp.n_params(sizes)) * 0.7
-    mean, scale = np.zeros(N_IN), np.ones(N_IN)
-    if standardize:
-        mean, scale = rng.normal(size=N_IN), rng.uniform(0.5, 2.0, N_IN)
-    return mlp.Mlp(config, sizes, params, mean, scale,
-                   np.zeros(N_IN, dtype=bool), mlp.TrainingLog())
+    return mlp.Mlp(config, sizes, params)
 
 
-def _both_paths(net, reps, seed):
+def _both_paths(net, reps, seed, strided=False):
     """Importances of `net` given as the network and as its `predict`, on
-    data where every feature matters and the baseline loss is not zero."""
+    data where every feature matters and the baseline loss is not zero;
+    `strided` data is a view that is not C-contiguous."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(64, N_IN))
+    if strided:
+        X = np.repeat(X, 2, axis=1)[:, ::2]
     snapshot = X.tobytes()
     if net.config.task == "classification":
         loss = "zero_one"
@@ -225,18 +222,18 @@ NETWORKS = [((6, 5, 4), False, 4), ((6, 5, 4), True, 4), ((7,), False, 4),
             ((6, 5, 4), False, 1)]
 
 
-@pytest.mark.parametrize("hidden, standardize, reps", NETWORKS)
-def test_network_classifier_matches_calling_predict(hidden, standardize, reps):
-    net = _network("classification", hidden, 21, standardize)
-    fast, slow = _both_paths(net, reps, seed=22)
+@pytest.mark.parametrize("hidden, strided, reps", NETWORKS)
+def test_network_classifier_matches_calling_predict(hidden, strided, reps):
+    net = _network("classification", hidden, 21)
+    fast, slow = _both_paths(net, reps, seed=22, strided=strided)
     assert fast.importances.tobytes() == slow.importances.tobytes()
     assert fast.sd_importance.tobytes() == slow.sd_importance.tobytes()
 
 
-@pytest.mark.parametrize("hidden, standardize, reps", NETWORKS)
-def test_network_regressor_matches_calling_predict(hidden, standardize, reps):
-    net = _network("regression", hidden, 31, standardize)
-    fast, slow = _both_paths(net, reps, seed=32)
+@pytest.mark.parametrize("hidden, strided, reps", NETWORKS)
+def test_network_regressor_matches_calling_predict(hidden, strided, reps):
+    net = _network("regression", hidden, 31)
+    fast, slow = _both_paths(net, reps, seed=32, strided=strided)
     assert np.max(np.abs(fast.importances - slow.importances)) <= 1e-12
     assert np.array_equal(explain.rank_features(fast),
                           explain.rank_features(slow))

@@ -35,9 +35,9 @@ def test_fit_requires_two_signatures():
 def test_identical_signatures_zero_variance():
     row = np.linspace(1.0, 3.0, 12)
     ds = helpers.make_dataset(np.vstack([row, row]))
-    model = fpca.fit(ds)
-    assert np.array_equal(model.mean, row)
-    assert np.all(model.eigenvalues == 0.0)
+    with pytest.raises(ValueError, match="the 2 training signatures do not "
+                                         "vary"):
+        fpca.fit(ds)
 
 
 def test_two_point_closed_form():
@@ -89,12 +89,14 @@ def test_rank_truncation_drops_noise_components():
 
 
 def test_fit_centers_its_input_in_one_array():
-    """The centered, sqrt(dt)-scaled input is one n x grid array, so the
-    fit's allocation peak beyond its input stays below four such arrays."""
+    """The centered, sqrt(dt)-scaled input is one n x grid array, the SVD
+    keeps no left singular vectors and the input is freed before the
+    eigenfunctions are scaled, so the fit's allocation peak beyond its
+    input stays below three such arrays."""
     n, grid = 400, TimeGrid()
     train = generate_dataset(n, SimParams(), seed=5, grid=grid)
     peak = helpers.traced_peak(lambda: fpca.fit(train))
-    assert peak / (n * grid.count * 8) <= 3.9
+    assert peak / (n * grid.count * 8) <= 2.9
 
 
 def test_model_arrays_immutable():

@@ -322,32 +322,6 @@ def test_predict_pure_and_width_checked():
         reg.predict_labels(X)
 
 
-def test_standardization_absorbed_into_first_layer():
-    # a raw-input network whose first layer absorbs the affine transform
-    # must predict identically to the standardizing network
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(50, 3)) * np.array([100.0, 1.0, 0.01]) + 5.0
-    y = (rng.random(50) < 0.5).astype(np.float64)
-    config = mlp.MlpConfig(hidden_sizes=(7, 4), task="classification",
-                           max_epochs=25, seed=11, standardize=True)
-    model = mlp.train(X, y, config)
-
-    w1, b1 = kernels._layer_views(model.params, model.sizes)[0]
-    absorbed = model.params.copy()
-    k = w1.size
-    absorbed[:k] = (w1 / model.feature_scale[:, None]).ravel()
-    absorbed[k:k + b1.size] = b1 - (model.feature_mean / model.feature_scale) @ w1
-    raw = mlp.Mlp(model.config, model.sizes, absorbed,
-                  np.zeros(3), np.ones(3), np.zeros(3, dtype=bool),
-                  mlp.TrainingLog())
-    probe = rng.normal(size=(20, 3)) * np.array([100.0, 1.0, 0.01]) + 5.0
-    assert np.max(np.abs(raw.predict(probe) - model.predict(probe))) < 1e-10
-
-
-def _standardizing_formula(model, X):
-    return np.ascontiguousarray((X - model.feature_mean) / model.feature_scale)
-
-
 @pytest.mark.parametrize("mean,scale,identity", [
     ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], True),
     ([0.0, -0.0, 0.0], [1.0, 1.0, 1.0], False),
@@ -356,37 +330,28 @@ def _standardizing_formula(model, X):
 ])
 def test_standardization_identity_only_when_bitwise_exact(mean, scale,
                                                           identity):
-    # (x - +0.0) / 1 is x for every x, but (-0.0 - -0.0) / 1 is +0.0:
-    # only an all-+0.0 mean with unit scale may skip the arithmetic
+    # a network reads its inputs raw: it still takes a scaling given
+    # positionally, but only one that is the identity bit for bit, since
+    # (-0.0 - -0.0) / 1 would be +0.0
     rng = np.random.default_rng(15)
     sizes = np.array([3, 5, 1], dtype=np.int64)
-    model = mlp.Mlp(mlp.MlpConfig(hidden_sizes=(5,)), sizes,
-                    rng.normal(size=mlp.n_params(sizes)),
-                    np.array(mean), np.array(scale), np.zeros(3, dtype=bool),
-                    mlp.TrainingLog())
+    params = rng.normal(size=mlp.n_params(sizes))
+    network = (mlp.MlpConfig(hidden_sizes=(5,)), sizes, params,
+               np.array(mean), np.array(scale), np.zeros(3, dtype=bool))
+    if not identity:
+        with pytest.raises(ValueError, match="must be the identity"):
+            mlp.Mlp(*network)
+        return
+    model = mlp.Mlp(*network, mlp.TrainingLog())
     X = rng.normal(size=(12, 3))
     X[::3, 1] = -0.0
-    expected = _standardizing_formula(model, X)
-    assert mlp._scaled(X, model.feature_mean,
-                       model.feature_scale).tobytes() == expected.tobytes()
-    assert (expected.tobytes() == X.tobytes()) == identity
     assert model.predict(X).tobytes() == mlp._stable_sigmoid(
-        kernels.mlp_forward(model.params, sizes, expected)).tobytes()
-    # the kernel always gets a C-contiguous input, as the formula gives it
+        kernels.mlp_forward(params, sizes, X)).tobytes()
+    # the kernel always gets a C-contiguous input
     strided = np.repeat(X, 2, axis=1)[:, ::2]
-    assert mlp._scaled(strided, model.feature_mean,
-                       model.feature_scale).flags.c_contiguous
-
-
-def test_constant_feature_passthrough_flagged():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(40, 3))
-    X[:, 1] = 2.5  # zero variance column
-    y = (rng.random(40) < 0.5).astype(np.float64)
-    model = mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(4,), max_epochs=5,
-                                          task="classification"))
-    assert model.passthrough.tolist() == [False, True, False]
-    assert model.feature_scale[1] == 1.0
+    inputs = mlp._inputs(strided, 3)
+    assert inputs.flags.c_contiguous
+    assert inputs.tobytes() == X.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +372,6 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.sizes.tobytes() == model.sizes.tobytes()
     probe = np.random.default_rng(1).normal(size=(7, 3))
     assert np.max(np.abs(loaded.predict(probe) - model.predict(probe))) <= 1e-12
-
-
-@pytest.mark.parametrize("key", ["feature_mean", "feature_scale",
-                                 "passthrough"])
-def test_load_rejects_scaling_of_another_width(tmp_path, key):
-    X, y = _toy("classification", n=20, f=2, seed=13)
-    model = mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(4,), max_epochs=3))
-    mlp.save_mlp(model, tmp_path)
-    path = tmp_path / "mlp.json"
-    meta = json.loads(path.read_text())
-    meta[key] = meta[key] + meta[key][:1]
-    path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=rf"mlp\.json: {key} has 3 entries, "
-                                         rf"expected 2"):
-        mlp.load_mlp(tmp_path)
 
 
 @pytest.mark.parametrize("hidden, edited, name", [

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fdexplain import (cli, dataio, explain, fpca, metrics, mlp, pipeline,
@@ -29,7 +29,7 @@ STAGES = ("simulate", "split", "fpca", "transform", "train", "metrics",
 
 def _small_mlp(task: str) -> mlp.MlpConfig:
     return mlp.MlpConfig(hidden_sizes=(16, 8), task=task, max_epochs=50,
-                         standardize=False, seed=0)
+                         seed=0)
 
 
 def _smoke_config(outdir: str, seed: int = 42) -> pipeline.RunConfig:
@@ -232,7 +232,6 @@ def test_runconfig_from_dict_rejects_bad_input():
 
 
 BAD_KINDS = [
-    ({"mlp": {"y1": {"standardize": "no"}}}, "config.mlp.y1.standardize"),
     ({"mlp": {"y1": {"hidden_sizes": [50.7, 40, 30]}}},
      "config.mlp.y1.hidden_sizes"),
     ({"figures": "heatmap"}, "config.figures"),
@@ -283,7 +282,7 @@ def test_the_config_surface_is_this_list():
     network_fields = [f.name for f in dataclasses.fields(mlp.MlpConfig)]
     assert network_fields == [
         "hidden_sizes", "task", "learning_rate", "batch_size", "max_epochs",
-        "patience", "val_fraction", "seed", "standardize"]
+        "patience", "val_fraction", "seed"]
     assert {t: sorted(c) for t, c in networks.items()} == dict.fromkeys(
         pipeline.TARGETS, sorted(network_fields))
 
@@ -312,8 +311,8 @@ def _networks():
         task=st.just(pipeline.TARGET_TASK[t]), learning_rate=_positive,
         batch_size=st.integers(1, 4096),
         max_epochs=st.integers(1, 10**4), patience=st.integers(0, 100),
-        val_fraction=st.floats(0.0, 0.99), seed=st.integers(0, 2**32),
-        standardize=st.booleans()) for t in pipeline.TARGETS})
+        val_fraction=st.floats(0.0, 0.99), seed=st.integers(0, 2**32))
+        for t in pipeline.TARGETS})
 
 
 def _run_config(grid, **fields) -> pipeline.RunConfig:
@@ -365,7 +364,10 @@ def _run_configs(draw) -> pipeline.RunConfig:
         outdir=st.text()))
 
 
-@settings(max_examples=60, deadline=None)
+# no shrink phase: shrinking a failing config of this many fields takes
+# minutes, and the unshrunk example names the fault as well
+@settings(max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_run_configs())
 def test_runconfig_json_round_trip_is_identity(config):
     text = json.dumps(config.to_dict())
@@ -842,7 +844,7 @@ def test_cli_chain_reproduces_run_stage_by_stage(smoke_run, tmp_path):
 
 def test_cli_train_defaults_to_the_runs_network(tmp_path):
     """Without network flags, `train` builds the run's network for the
-    target (raw scores, not standardized), which separates y1."""
+    target, which separates y1."""
     d = tmp_path
     assert cli.main(["simulate", "--n", "400", "--seed", "3",
                      "-o", str(d / "dataset.csv")]) == 0
@@ -948,21 +950,31 @@ def test_cli_figures_refuses_a_component_beyond_the_fit_before_drawing(
     assert not (rundir / "figures").exists()
 
 
-def _retired(section: str, key: str, value):
+def _retired(keys: str, value):
+    """An edit setting the dotted path `keys` of a JSON object to `value`."""
+    *outer, key = keys.split(".")
+
     def edit(meta):
-        (meta[section] if section else meta)[key] = value
+        for name in outer:
+            meta = meta[name]
+        meta[key] = value
     return edit
 
 
 @pytest.mark.parametrize("name, edit, message, commands", [
-    ("config.json", _retired("", "bundle_size", 50),
+    ("config.json", _retired("bundle_size", 50),
      "unknown config fields: ['bundle_size']", ("report", "figures")),
-    ("config.json", _retired("pfi", "split", "test"),
+    ("config.json", _retired("pfi.split", "test"),
      "unknown config.pfi fields: ['split']", ("report", "figures")),
+    ("config.json", _retired("mlp.y1.standardize", False),
+     "unknown config.mlp.y1 fields: ['standardize']", ("report", "figures")),
     # `figures --run` reads no network
-    ("models/y1/mlp.json", _retired("config", "beta1", 0.9),
-     "unknown MlpConfig fields: ['beta1']", ("report",))],
-    ids=["bundle-size", "pfi-split", "mlp-beta1"])
+    ("models/y1/mlp.json", _retired("config.beta1", 0.9),
+     "unknown MlpConfig fields: ['beta1']", ("report",)),
+    ("models/y1/mlp.json", _retired("config.standardize", False),
+     "unknown MlpConfig fields: ['standardize']", ("report",))],
+    ids=["bundle-size", "pfi-split", "mlp-y1-standardize", "mlp-beta1",
+         "mlp-standardize"])
 def test_cli_refuses_a_setting_that_is_now_a_constant(
         smoke_run, tmp_path, capsys, name, edit, message, commands):
     """A run directory that still records a retired setting is refused by
@@ -1022,7 +1034,7 @@ def test_cli_run_with_config_json(tmp_path):
         n=150, grid_count=40, seed=7,
         mlp_configs={t: mlp.MlpConfig(hidden_sizes=(8,),
                                       task=pipeline.TARGET_TASK[t],
-                                      max_epochs=30, standardize=False)
+                                      max_epochs=30)
                      for t in pipeline.TARGETS},
         pfi_replications=3, outdir="ignored")
     path = tmp_path / "config.json"
@@ -1054,6 +1066,20 @@ def test_cli_pfi_refuses_a_network_of_another_task(tmp_path, capsys):
     assert "y3" in err and "regression" in err and "classification" in err
     assert not (tmp_path / "pfi" / "y3_pfi.json").exists()
     assert cli.main(args + ["--target", "y1"]) == 0
+
+
+def test_cli_fpca_refuses_signatures_that_do_not_vary_before_writing(
+        tmp_path, capsys):
+    data = tmp_path / "flat.csv"
+    dataio.write_dataset(make_dataset(np.full((6, 10), 2.0)), data)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert cli.main(["fpca", "--train", str(data), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the 6 training signatures do not vary: every eigenvalue "
+        "is 0\n")
+    assert list(out.iterdir()) == []
 
 
 def test_cli_missing_artifact_reports_and_fails(tmp_path, capsys):
@@ -1241,6 +1267,21 @@ def test_each_json_key_set_to_null_is_refused_by_name(smoke_run, tmp_path,
         with pytest.raises(ValueError) as info:
             read(rundir, path)
         assert str(info.value).startswith(f"{path}: {'.'.join(keys)}"), keys
+
+
+def test_cli_report_refuses_a_metrics_file_with_a_string_for_a_bool(
+        smoke_run, tmp_path, capsys):
+    rundir = tmp_path / "run"
+    shutil.copytree(smoke_run[2], rundir)
+    path = rundir / "tables" / "metrics.json"
+    meta = read_json(path)
+    meta["y1"]["test"]["f1_degenerate"] = "no"
+    write_json(path, meta)
+    report = (rundir / "report.json").read_bytes()
+    assert cli.main(["report", "--run", str(rundir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: y1.test.f1_degenerate must be a bool, got 'no'\n")
+    assert (rundir / "report.json").read_bytes() == report
 
 
 def test_cli_run_refuses_a_reversed_grid_before_writing(tmp_path, capsys):
