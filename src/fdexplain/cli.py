@@ -48,10 +48,11 @@ def _cmd_split(args) -> int:
 def _cmd_fpca(args) -> int:
     train = read_dataset(Path(args.train))
     outdir = Path(args.outdir)
-    model = pipeline.fit_fpca(train, outdir, outdir / "variance_explained.csv")
+    model, fitted = pipeline.fit_fpca(train, outdir,
+                                      outdir / "variance_explained.csv")
     fractions, _ = fpca.variance_explained(model)
-    print(f"fit {model.n_components} components from {train.n} signatures; "
-          f"first explains {fractions[0]:.4f}")
+    print(f"kept {model.n_components} of {fitted} components from {train.n} "
+          f"signatures; first explains {fractions[0]:.4f}")
     return 0
 
 

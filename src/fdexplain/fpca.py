@@ -11,6 +11,22 @@ by sqrt(dt): with C = X - mean and S = C*sqrt(dt) = U diag(s) V^T,
 which makes the eigenfunctions orthonormal under the quadrature inner
 product sum_i f(t_i) g(t_i) dt, and score variances equal the eigenvalues.
 
+`fit` keeps every component down to RANK_TRUNCATION_RATIO of the first
+eigenvalue. `truncate` then keeps those above the noise floor, by the hard
+threshold of Gavish and Donoho (2014, "The Optimal Hard Threshold for
+Singular Values is 4/sqrt(3)", IEEE Trans. Inf. Theory 60(8)) for a
+matrix of i.i.d. Gaussian noise of unknown level: a component stays when
+its singular value s_j exceeds omega(beta) * median(s), with
+
+    omega(beta) ~ 0.56 beta**3 - 0.95 beta**2 + 1.82 beta + 1.43,
+    beta = min(n - 1, m) / max(n - 1, m),
+
+over the min(n - 1, m) singular values of the centered data, those below
+the rank cut counting as 0. Variance fractions divide by the model's
+`total_variance`, the trace of the dt-scaled sample covariance (the sum
+of every eigenvalue `fit` kept), so a truncated model's fractions are the
+full fit's and sum to less than 1.
+
 Sign convention: every eigenfunction is oriented so its quadrature inner
 product with (first training signature - mean) is non-negative; ties
 (|inner product| <= 1e-12) orient the earliest nonzero grid value positive.
@@ -31,18 +47,25 @@ RANK_TRUNCATION_RATIO = 1e-12
 SIGN_TIE_TOL = 1e-12
 SIGN_CONVENTION = "first-train-signature-nonnegative"
 # the shape of `fpca.json`, as `load_model` reads it
-_JSON_KINDS = {"grid": GRID, "eigenvalues": [0.0], "n_train": 0}
+_JSON_KINDS = {"grid": GRID, "eigenvalues": [0.0], "n_train": 0,
+               "total_variance": 0.0, "threshold": 0.0}
 
 
 @dataclass(frozen=True)
 class FpcaModel:
-    """Fitted decomposition. `eigenfunctions` holds one component per row."""
+    """Fitted decomposition. `eigenfunctions` holds one component per row;
+    `total_variance` is the trace of the sample covariance, the sum of
+    every eigenvalue of the fit the components were taken from, and
+    `threshold` the singular value each kept component exceeds (0 for a
+    model that `truncate` did not cut)."""
 
     grid: TimeGrid
     mean: np.ndarray
     eigenfunctions: np.ndarray
     eigenvalues: np.ndarray
     n_train: int
+    total_variance: float
+    threshold: float = 0.0
 
     def __post_init__(self):
         for name in ("mean", "eigenfunctions", "eigenvalues"):
@@ -110,7 +133,35 @@ def fit(train: Dataset) -> FpcaModel:
     # would keep all min(n, m) of the SVD's rows alive with the model
     eigenfunctions = vt / np.sqrt(train.grid.dt)
     return FpcaModel(train.grid, mean, np.ascontiguousarray(eigenfunctions),
-                     eigenvalues.copy(), n)
+                     eigenvalues.copy(), n, float(np.sum(eigenvalues)))
+
+
+def aspect_ratio(model: FpcaModel) -> float:
+    """beta = min(n - 1, m) / max(n - 1, m) of the centered training data
+    of `model`."""
+    dims = (model.n_train - 1, model.grid.count)
+    return min(dims) / max(dims)
+
+
+def omega(beta: float) -> float:
+    """Gavish and Donoho's approximation of the optimal hard-threshold
+    coefficient for an unknown noise level."""
+    return 0.56 * beta ** 3 - 0.95 * beta ** 2 + 1.82 * beta + 1.43
+
+
+def truncate(model: FpcaModel, min_components: int = 1) -> FpcaModel:
+    """The leading components of a `fit` result whose singular value
+    exceeds omega(beta) times the median singular value, but at least
+    `min_components` of them (all of them if the fit has fewer)."""
+    n1 = model.n_train - 1
+    svals = np.zeros(min(n1, model.grid.count))
+    svals[:model.n_components] = np.sqrt(model.eigenvalues * n1)
+    threshold = omega(aspect_ratio(model)) * float(np.median(svals))
+    k = max(int(np.sum(svals > threshold)),
+            min(min_components, model.n_components))
+    return FpcaModel(model.grid, model.mean, model.eigenfunctions[:k].copy(),
+                     model.eigenvalues[:k].copy(), model.n_train,
+                     model.total_variance, threshold)
 
 
 def transform(model: FpcaModel, data) -> np.ndarray:
@@ -120,11 +171,11 @@ def transform(model: FpcaModel, data) -> np.ndarray:
 
 
 def variance_explained(model: FpcaModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component variance fractions and their cumulative sums."""
-    total = float(np.sum(model.eigenvalues))
-    if total <= 0.0:
+    """Per-component fractions of the total variance and their cumulative
+    sums."""
+    if model.total_variance <= 0.0:
         raise ValueError("model has no positive eigenvalues")
-    fractions = model.eigenvalues / total
+    fractions = model.eigenvalues / model.total_variance
     return fractions, np.cumsum(fractions)
 
 
@@ -138,6 +189,8 @@ def save_model(model: FpcaModel, outdir: Path) -> None:
         # never read back; kept for `perfbench/workloads.check_cli`
         "n_components": model.n_components,
         "eigenvalues": [float(v) for v in model.eigenvalues],
+        "total_variance": model.total_variance,
+        "threshold": model.threshold,
         "sign_convention": SIGN_CONVENTION,
     })
     t = model.grid.points
@@ -182,4 +235,5 @@ def load_model(outdir: Path) -> FpcaModel:
                                _eigenfunctions_header(eigenvalues.size), grid)
     eigenfunctions = np.ascontiguousarray(eig_tab[:, 1:].T)
     return FpcaModel(grid, mean_tab[:, 1].copy(), eigenfunctions, eigenvalues,
-                     meta["n_train"])
+                     meta["n_train"], meta["total_variance"],
+                     meta["threshold"])

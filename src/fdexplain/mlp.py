@@ -17,10 +17,15 @@ cross-entropy falls geometrically toward zero, about 1% per epoch, so
 without MIN_DELTA every epoch is a new best and training runs to
 `max_epochs`.
 
+A regressor predicts within the range of the targets it was trained on:
+`Mlp.target_range` holds their [min, max], and `Mlp._head` clips the
+network's output to it, so `predict` and the permutation-importance
+paths clip alike. The training and validation losses, and so early
+stopping, read the unclipped output of `kernels.mlp_forward`.
+
 A network reads the component scores as given. Raw scores keep the
 sqrt-eigenvalue scale, which already orders the inputs by signal content;
-standardizing would blow the ~990 noise columns of the default run up to
-unit variance and swamp training at this width.
+standardizing would blow any noise columns up to unit variance.
 """
 
 from dataclasses import InitVar, asdict, dataclass, field
@@ -139,7 +144,9 @@ def _inputs(scores: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class Mlp:
-    """Trained network: config, layer widths, flat parameters and log."""
+    """Trained network: config, layer widths, flat parameters, log and,
+    for a regressor, the [min, max] its predictions are clipped to (None:
+    unclipped)."""
 
     config: MlpConfig
     sizes: np.ndarray
@@ -151,6 +158,7 @@ class Mlp:
     feature_scale: InitVar[np.ndarray | None] = None
     passthrough: InitVar[np.ndarray | None] = None
     log: TrainingLog = field(default_factory=TrainingLog)
+    target_range: tuple[float, float] | None = None
 
     def __post_init__(self, *scaling):
         width = int(self.sizes[0])
@@ -172,6 +180,8 @@ class Mlp:
         `predict`, element by element."""
         if self.config.task == "classification":
             return _stable_sigmoid(z)
+        if self.target_range is not None:
+            return np.clip(z, *self.target_range)
         return z
 
     def predict_labels(self, scores: np.ndarray) -> np.ndarray:
@@ -204,7 +214,8 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
     -------
     Mlp with the weights that achieved the lowest internal-validation loss
     (or the final weights when `val_fraction` is 0); its log records why
-    training stopped (see TrainingLog).
+    training stopped (see TrainingLog), and a regressor's `target_range`
+    is the [min, max] of `targets`.
     """
     X = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     targets = _validate_targets(targets, config.task)
@@ -266,7 +277,9 @@ def train(scores: np.ndarray, targets: np.ndarray, config: MlpConfig) -> Mlp:
 
     if n_val > 0:
         params = best_params
-    return Mlp(config, sizes, params, log=log)
+    target_range = (None if config.task == "classification"
+                    else (float(targets.min()), float(targets.max())))
+    return Mlp(config, sizes, params, log=log, target_range=target_range)
 
 
 def save_mlp(model: Mlp, outdir: Path) -> None:
@@ -277,6 +290,8 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
         "log": asdict(model.log),
+        # empty for an unclipped network
+        "target_range": list(model.target_range or ()),
     })
     for layer, (W, b) in enumerate(kernels._layer_views(model.params,
                                                         model.sizes)):
@@ -291,7 +306,8 @@ def save_mlp(model: Mlp, outdir: Path) -> None:
 
 # the shape of `mlp.json`, as `load_mlp` reads it; `MlpConfig.from_dict`
 # checks the fields of `config`
-_JSON_KINDS = {"config": {}, "log": asdict(TrainingLog([0.0], [0.0]))}
+_JSON_KINDS = {"config": {}, "log": asdict(TrainingLog([0.0], [0.0])),
+               "target_range": [0.0]}
 
 
 def load_mlp(outdir: Path) -> Mlp:
@@ -301,6 +317,13 @@ def load_mlp(outdir: Path) -> Mlp:
     meta = read_json(path, _JSON_KINDS)
     with _in_file(path):
         config = MlpConfig.from_dict(meta["config"])
+    target_range = tuple(map(float, meta["target_range"])) or None
+    if target_range is not None and (
+            config.task == "classification" or len(target_range) != 2
+            or target_range[0] > target_range[1]):
+        raise ValueError(f"{path}: target_range must be empty for a "
+                         f"classifier, or [min, max] for a regressor; got "
+                         f"{list(target_range)}")
     _, first = read_table_csv(outdir / "layer_0.csv")
     sizes = layer_sizes(first.shape[0] - 1, config)
     params = np.empty(n_params(sizes))
@@ -314,4 +337,5 @@ def load_mlp(outdir: Path) -> Mlp:
         W[:] = tab[1:]
     if (outdir / f"layer_{sizes.size - 1}.csv").exists():
         raise ValueError(f"{path}: more layer CSVs than {sizes.tolist()}")
-    return Mlp(config, sizes, params, log=TrainingLog(**meta["log"]))
+    return Mlp(config, sizes, params, log=TrainingLog(**meta["log"]),
+               target_range=target_range)

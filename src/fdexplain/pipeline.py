@@ -379,12 +379,13 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
                  training: dict, pfi_reports: dict) -> dict:
     """Write report.json and report.md; returns artifact paths.
 
-    The report states the realized score width (component count is capped
-    by the training-set rank), per-split metrics, how long each network
-    trained and why it stopped (`training`, target -> TrainingLog),
-    importance rankings with the mean and standard deviation over the
-    shuffles, and the qualitative ranking checks with any deviations
-    flagged.
+    The report states the realized score width, the number of components
+    above the noise floor (`fpca.truncate`, with the rule's beta, omega,
+    median singular value and threshold), per-split metrics, how long
+    each network trained and why it stopped (`training`, target ->
+    TrainingLog), importance rankings with the mean and standard deviation
+    over the shuffles, and the qualitative ranking checks with any
+    deviations flagged.
     """
     outdir = Path(outdir)
     fractions, cumulative = fpca.variance_explained(model)
@@ -393,6 +394,8 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
     rankings = {t: [int(v) for v in explain.rank_features(r)]
                 for t, r in pfi_reports.items()}
     top10 = {t: rankings[t][:10] for t in TARGETS}
+    beta = fpca.aspect_ratio(model)
+    omega = fpca.omega(beta)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": config_digest(config),
@@ -400,6 +403,11 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
         "split_sizes": dict(zip(SPLIT_NAMES, split_sizes(config.n,
                                                          config.ratios))),
         "realized_width": model.n_components,
+        "noise_floor": {
+            "beta": beta, "omega": omega,
+            "median_singular_value": model.threshold / omega,
+            "threshold": model.threshold,
+        },
         "grid_count": config.grid_count,
         "variance_explained": {
             "first": float(fractions[0]),
@@ -429,14 +437,18 @@ def write_report(outdir: Path, config: RunConfig, model, metric_summary: dict,
     write_json(outdir / "report.json", report)
 
     sizes, variance = report["split_sizes"], report["variance_explained"]
+    floor = report["noise_floor"]
     lines = [
         "# Run report", "",
         f"- signatures: {report['n']} on {report['grid_count']} grid points",
         f"- master seed: {config.seed}",
         f"- split sizes: train {sizes['train']}, test {sizes['test']}, "
         f"validation {sizes['validation']}",
-        f"- realized score width: {report['realized_width']} components "
-        "(capped by training-set rank)", "",
+        f"- realized score width: {report['realized_width']} components, "
+        "the number above the noise floor",
+        f"- noise floor: singular value > omega(beta) * median singular "
+        f"value = {floor['omega']:.4f} * {floor['median_singular_value']:.4g}"
+        f" = {floor['threshold']:.4g}, with beta {floor['beta']:.4f}", "",
         "## Variance explained", "",
         f"- first component: {variance['first']:.4f}",
         f"- first three cumulative: {variance['top3_cumulative']:.4f}", "",
@@ -483,10 +495,16 @@ def write_splits(dataset: Dataset, ratios, seed: int, outdir: Path) -> dict:
     return splits
 
 
-def fit_fpca(train: Dataset, outdir: Path, table_path: Path) -> fpca.FpcaModel:
-    """Fit the component model on `train`, save it into `outdir` and write
-    its variance-explained table to `table_path`."""
-    model = fpca.fit(train)
+def fit_fpca(train: Dataset, outdir: Path,
+             table_path: Path) -> tuple[fpca.FpcaModel, int]:
+    """Fit the component model on `train`, keep the components above the
+    noise floor (`fpca.truncate`), but at least as many as the highest
+    component ROLE_CHECKS names, save it into `outdir` and write its
+    variance-explained table to `table_path`. Returns the kept model and
+    the number of components the fit had."""
+    full = fpca.fit(train)
+    model = fpca.truncate(full, max(max(components) for _, components, _
+                                    in ROLE_CHECKS.values()))
     fpca.save_model(model, Path(outdir))
     fractions, cumulative = fpca.variance_explained(model)
     rows = np.column_stack([
@@ -495,7 +513,7 @@ def fit_fpca(train: Dataset, outdir: Path, table_path: Path) -> fpca.FpcaModel:
     ])
     write_table_csv(Path(table_path),
                     ["component", "eigenvalue", "fraction", "cumulative"], rows)
-    return model
+    return model, full.n_components
 
 
 def train_network(scores: np.ndarray, labels, target: str,
@@ -569,7 +587,7 @@ def run_pipeline(config: RunConfig) -> RunManifest:
 
     with _stage("fpca"):
         model = fit_fpca(splits["train"], outdir / "fpca",
-                         outdir / "tables" / "variance_explained.csv")
+                         outdir / "tables" / "variance_explained.csv")[0]
         run.realized_width = model.n_components
         artifacts["fpca_model"] = "fpca/fpca.json"
         artifacts["variance_explained"] = "tables/variance_explained.csv"

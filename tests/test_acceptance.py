@@ -173,6 +173,8 @@ def test_criterion_08_importance_ranking_reproduction(desk):
         assert 1 in ranks["y2"][:2], ranks["y2"][:3]
         assert 3 in ranks["y2"][:3], ranks["y2"][:3]
         assert ranks["y3"][0] == 2, ranks["y3"][:3]
+        # the networks read the components above the noise floor, so the
+        # tail check covers components 11..K (K = 20 here), not 11..1000
         for target, report in reports.items():
             means = report.mean_importance
             peak = means.max()

@@ -399,7 +399,8 @@ def test_grid_round_trip_is_identity(tmp_path_factory, grid):
                                       start=grid.start, stop=grid.stop),
                          d / "d.csv")
     fpca.save_model(fpca.FpcaModel(grid, np.zeros(grid.count),
-                                   np.zeros((1, grid.count)), np.ones(1), 2),
+                                   np.zeros((1, grid.count)), np.ones(1), 2,
+                                   1.0),
                     d)
     for back in (dataio.read_dataset(d / "d.csv").grid,
                  fpca.load_model(d).grid):

@@ -239,6 +239,23 @@ def test_network_regressor_matches_calling_predict(hidden, strided, reps):
                           explain.rank_features(slow))
 
 
+def test_clipped_regressor_matches_calling_predict():
+    """Both paths clip a regressor to its training range: with a range
+    that clips about half the predictions, the network path still equals
+    calling `predict`."""
+    net = _network("regression", (6, 5, 4), 33)
+    X = np.random.default_rng(32).normal(size=(64, N_IN))
+    raw = kernels.mlp_forward(net.params, net.sizes, X)
+    net.target_range = tuple(np.quantile(raw, [0.25, 0.75]).tolist())
+    baseline, rows = explain._network_rows(net, X)
+    assert baseline[0].tobytes() == net.predict(X).tobytes()
+    assert 0.3 < np.mean(np.isin(baseline, net.target_range)) < 0.7
+    fast, slow = _both_paths(net, 4, seed=32)
+    assert np.max(np.abs(fast.importances - slow.importances)) <= 1e-12
+    assert np.array_equal(explain.rank_features(fast),
+                          explain.rank_features(slow))
+
+
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_network_without_hidden_layers_calls_predict(task):
     net = _network(task, (), 41)

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdexplain import fpca
+from fdexplain import fpca, pipeline
 from fdexplain.sim import SimParams, TimeGrid, generate_dataset
 
 import helpers
@@ -192,22 +194,104 @@ def test_inverse_transform_k_out_of_range():
 
 
 # ---------------------------------------------------------------------------
+# truncate: the components above the noise floor
+# ---------------------------------------------------------------------------
+
+def _low_rank_plus_noise(rank: int, n: int = 300, m: int = 80,
+                         amplitude: float = 10.0, sd: float = 0.05,
+                         seed: int = 0):
+    """n signatures of `rank` orthonormal patterns with score sd
+    `amplitude`, plus i.i.d. Gaussian noise of sd `sd` at every point."""
+    rng = np.random.default_rng(seed)
+    patterns = np.linalg.qr(rng.normal(size=(m, max(rank, 1))))[0].T[:rank]
+    values = (rng.normal(scale=amplitude, size=(n, rank)) @ patterns
+              + rng.normal(scale=sd, size=(n, m)) + 2.0)
+    return helpers.make_dataset(values)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.2309, 0.5, 0.9, 1.0])
+def test_omega_is_the_gavish_donoho_polynomial(beta):
+    assert fpca.omega(beta) == (0.56 * beta ** 3 - 0.95 * beta ** 2
+                                + 1.82 * beta + 1.43)
+
+
+def test_omega_of_a_square_matrix_is_the_published_value():
+    # Gavish and Donoho (2014) give omega(1) ~ 2.858 for a square matrix
+    assert fpca.omega(1.0) == pytest.approx(2.858, abs=0.005)
+
+
+def test_aspect_ratio_uses_the_centered_rank():
+    grid = TimeGrid(100, 0.0, 1.0)
+    for n_train, beta in [(434, 100 / 433), (101, 1.0), (51, 0.5)]:
+        model = fpca.FpcaModel(grid, np.zeros(100), np.zeros((1, 100)),
+                               np.ones(1), n_train, 1.0)
+        assert fpca.aspect_ratio(model) == beta
+
+
+@pytest.mark.parametrize("rank", [1, 3, 5, 8])
+def test_truncate_keeps_the_signal_rank(rank):
+    full = fpca.fit(_low_rank_plus_noise(rank, seed=rank))
+    assert full.n_components == 80
+    model = fpca.truncate(full)
+    assert model.n_components == rank
+    svals = np.sqrt(full.eigenvalues * (full.n_train - 1))
+    assert svals[rank - 1] > 3.0 * model.threshold > 3.0 * svals[rank]
+    assert model.threshold == fpca.omega(80 / 299) * float(np.median(svals))
+
+
+def test_truncate_keeps_the_leading_components_of_the_fit():
+    full = fpca.fit(_low_rank_plus_noise(4, seed=9))
+    model = fpca.truncate(full)
+    k = model.n_components
+    assert model.eigenfunctions.tobytes() == full.eigenfunctions[:k].tobytes()
+    assert model.eigenvalues.tobytes() == full.eigenvalues[:k].tobytes()
+    assert model.mean is full.mean and model.n_train == full.n_train
+    assert model.total_variance == full.total_variance \
+        == float(np.sum(full.eigenvalues))
+    assert full.threshold == 0.0 < model.threshold
+    # the fractions are those of the full fit
+    assert (fpca.variance_explained(model)[0].tobytes()
+            == fpca.variance_explained(full)[0][:k].tobytes())
+    # the kept rows own their memory, so the full fit can be freed
+    assert model.eigenfunctions.base is None
+
+
+def test_truncate_keeps_at_least_the_floor_capped_by_the_rank(tmp_path):
+    noisy = _low_rank_plus_noise(1, seed=5)
+    assert fpca.truncate(fpca.fit(noisy)).n_components == 1
+    assert fpca.truncate(fpca.fit(noisy), 3).n_components == 3
+    # the run's stage keeps as many as the highest component ROLE_CHECKS
+    # names
+    model, fitted = pipeline.fit_fpca(noisy, tmp_path, tmp_path / "ve.csv")
+    assert (model.n_components, fitted) == (3, 80)
+    assert fpca.load_model(tmp_path).n_components == 3
+    # a fit of rank 2 keeps its 2 components
+    rank2 = fpca.fit(_low_rank_plus_noise(2, sd=0.0, seed=6))
+    assert rank2.n_components == 2
+    assert fpca.truncate(rank2, 3).n_components == 2
+
+
+# ---------------------------------------------------------------------------
 # variance_explained
 # ---------------------------------------------------------------------------
 
 def test_variance_explained_fractions():
     grid = TimeGrid(6, 0.0, 1.0)
     model = fpca.FpcaModel(grid, np.zeros(6), np.zeros((2, 6)),
-                           np.array([3.0, 1.0]), n_train=3)
+                           np.array([3.0, 1.0]), n_train=3, total_variance=4.0)
     fractions, cumulative = fpca.variance_explained(model)
     assert np.array_equal(fractions, [0.75, 0.25])
     assert cumulative[-1] == pytest.approx(1.0, abs=1e-10)
+    # a truncated model divides by the variance of the whole fit
+    cut = fpca.FpcaModel(grid, np.zeros(6), np.zeros((1, 6)), np.array([3.0]),
+                         n_train=3, total_variance=4.0)
+    assert fpca.variance_explained(cut)[1].tolist() == [0.75]
 
 
 def test_variance_explained_degenerate_error():
     grid = TimeGrid(6, 0.0, 1.0)
     model = fpca.FpcaModel(grid, np.zeros(6), np.zeros((1, 6)),
-                           np.array([0.0]), n_train=2)
+                           np.array([0.0]), n_train=2, total_variance=0.0)
     with pytest.raises(ValueError, match="no positive eigenvalues"):
         fpca.variance_explained(model)
 
@@ -228,6 +312,27 @@ def test_save_load_round_trip(tmp_path):
     before = fpca.transform(model, probe)
     after = fpca.transform(loaded, probe)
     assert np.max(np.abs(before - after)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 60), m=st.integers(2, 40), rank=st.integers(1, 6),
+       sd=st.sampled_from([0.0, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_truncated_model_round_trip_keeps_every_bit(tmp_path_factory, n, m,
+                                                    rank, sd, seed):
+    outdir = tmp_path_factory.getbasetemp() / "fpca_round_trip"
+    model = fpca.truncate(fpca.fit(_low_rank_plus_noise(
+        min(rank, m), n=n, m=m, sd=sd, seed=seed)), 3)
+    fpca.save_model(model, outdir)
+    loaded = fpca.load_model(outdir)
+    assert (loaded.grid, loaded.n_train) == (model.grid, model.n_train)
+    assert loaded.total_variance == model.total_variance
+    assert loaded.threshold == model.threshold
+    for name in ("mean", "eigenfunctions", "eigenvalues"):
+        assert getattr(loaded, name).tobytes() == \
+            getattr(model, name).tobytes(), name
+    probe = np.random.default_rng(seed).normal(size=(5, m))
+    assert fpca.transform(loaded, probe).tobytes() == \
+        fpca.transform(model, probe).tobytes()
 
 
 def test_load_missing_model_errors(tmp_path):

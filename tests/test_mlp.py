@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdexplain import kernels, mlp
 from fdexplain.errors import NumericalError
@@ -144,7 +146,11 @@ def test_constant_zero_regression():
                            max_epochs=800, learning_rate=0.01,
                            patience=800, seed=0)
     model = mlp.train(X, y, config)
-    assert float(np.mean(model.predict(X) ** 2)) < 1e-3
+    # the network learned the constant; its predictions are clipped to it
+    raw = kernels.mlp_forward(model.params, model.sizes, X)
+    assert float(np.mean(raw ** 2)) < 1e-3
+    assert model.target_range == (0.0, 0.0)
+    assert np.all(model.predict(X) == 0.0)
 
 
 def test_training_deterministic():
@@ -355,6 +361,46 @@ def test_standardization_identity_only_when_bitwise_exact(mean, scale,
 
 
 # ---------------------------------------------------------------------------
+# the regressor's range
+# ---------------------------------------------------------------------------
+
+def test_regressor_predictions_stay_in_the_training_range():
+    X, y = _toy("regression", n=60, f=3, seed=21)
+    model = mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(8, 4),
+                                          task="regression", max_epochs=30))
+    assert model.target_range == (float(y.min()), float(y.max()))
+    probe = np.random.default_rng(22).normal(scale=50.0, size=(200, 3))
+    raw = kernels.mlp_forward(model.params, model.sizes, probe)
+    predicted = model.predict(probe)
+    lo, hi = model.target_range
+    # far from the training rows the network leaves the range; the
+    # predictions do not, and inside it they are the network's output
+    assert np.any(raw < lo) and np.any(raw > hi)
+    assert np.all((lo <= predicted) & (predicted <= hi))
+    inside = (lo <= raw) & (raw <= hi)
+    assert np.array_equal(predicted[inside], raw[inside])
+
+
+def test_classifier_has_no_range():
+    X, y = _toy("classification", n=20, f=2, seed=23)
+    model = mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(4,), max_epochs=2))
+    assert model.target_range is None
+
+
+def test_training_reads_the_unclipped_network(monkeypatch):
+    """The training and validation losses, and so early stopping, never
+    pass through the clipping head."""
+    def refuse(self, z):
+        raise AssertionError("training called Mlp._head")
+
+    monkeypatch.setattr(mlp.Mlp, "_head", refuse)
+    X, y = _toy("regression", n=60, f=3, seed=24)
+    model = mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(6,), task="regression",
+                                          max_epochs=25, patience=5))
+    assert model.log.val_loss
+
+
+# ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
@@ -370,8 +416,52 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.params.tobytes() == model.params.tobytes()
     assert loaded.sizes.dtype == model.sizes.dtype
     assert loaded.sizes.tobytes() == model.sizes.tobytes()
+    assert loaded.target_range == model.target_range == (y.min(), y.max())
+    assert json.loads((tmp_path / "mlp.json").read_text())["target_range"] \
+        == [y.min(), y.max()]
     probe = np.random.default_rng(1).normal(size=(7, 3))
-    assert np.max(np.abs(loaded.predict(probe) - model.predict(probe))) <= 1e-12
+    assert loaded.predict(probe).tobytes() == model.predict(probe).tobytes()
+
+
+_ends = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(1, 12), hidden=st.lists(st.integers(1, 9), max_size=3),
+       ends=st.tuples(_ends, _ends).map(sorted), seed=st.integers(0, 2**32 - 1))
+def test_regressor_round_trip_keeps_every_bit(tmp_path_factory, width, hidden,
+                                              ends, seed):
+    outdir = tmp_path_factory.getbasetemp() / "mlp_round_trip"
+    rng = np.random.default_rng(seed)
+    config = mlp.MlpConfig(hidden_sizes=hidden, task="regression")
+    sizes = mlp.layer_sizes(width, config)
+    model = mlp.Mlp(config, sizes, rng.normal(size=mlp.n_params(sizes)),
+                    log=mlp.TrainingLog([0.5], [0.25], 0, 1, "max_epochs"),
+                    target_range=tuple(ends))
+    mlp.save_mlp(model, outdir)
+    loaded = mlp.load_mlp(outdir)
+    assert loaded.config == model.config and loaded.log == model.log
+    assert loaded.target_range == model.target_range
+    assert loaded.params.tobytes() == model.params.tobytes()
+    probe = rng.normal(scale=100.0, size=(6, width))
+    assert loaded.predict(probe).tobytes() == model.predict(probe).tobytes()
+
+
+@pytest.mark.parametrize("task, target_range", [
+    ("classification", [0.0, 1.0]), ("regression", [0.5]),
+    ("regression", [0.0, 1.0, 2.0]), ("regression", [1.0, 0.0])],
+    ids=["classifier", "one", "three", "reversed"])
+def test_load_refuses_a_range_that_does_not_fit_the_task(tmp_path, task,
+                                                         target_range):
+    X, y = _toy(task, n=20, f=2, seed=18)
+    mlp.save_mlp(mlp.train(X, y, mlp.MlpConfig(hidden_sizes=(3,), task=task,
+                                               max_epochs=2)), tmp_path)
+    path = tmp_path / "mlp.json"
+    meta = json.loads(path.read_text())
+    meta["target_range"] = target_range
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"^{path}: target_range must be "):
+        mlp.load_mlp(tmp_path)
 
 
 @pytest.mark.parametrize("hidden, edited, name", [

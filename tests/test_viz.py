@@ -292,7 +292,7 @@ def test_mean_pm_errors(smoke):
         viz.mean_pm_eigenfunction(model, 1, c=-1.0)
     # zero-variance component, as a saved model may hold one
     flat_model = fpca.FpcaModel(sim.TimeGrid(12, -4.0, 0.0), np.ones(12),
-                                np.full((1, 12), 0.5), np.zeros(1), 2)
+                                np.full((1, 12), 0.5), np.zeros(1), 2, 0.0)
     with pytest.raises(ValueError, match="zero variance"):
         viz.mean_pm_eigenfunction(flat_model, 1)
 
